@@ -1,10 +1,14 @@
 #include "serve/geo_service.h"
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "geo/geodesy.h"
+#include "geo/geodesy_batch.h"
 #include "util/env.h"
+#include "util/parallel.h"
 
 namespace geoloc::serve {
 
@@ -41,6 +45,8 @@ struct ServeSeries {
   obs::Counter& ttl_scans;    ///< stale_prefixes() sweeps
   obs::Counter& ttl_expired;  ///< entries found past their TTL by a sweep
   obs::Counter& remeasure_dropped;  ///< pushes shed at the queue cap
+  obs::Counter& plan_requests;  ///< requests emitted by plan_remeasurement
+  obs::Counter& plan_refined;   ///< exact distance_km calls past the filter
 };
 
 ServeSeries& serve_series() {
@@ -52,7 +58,9 @@ ServeSeries& serve_series() {
                        reg.counter("serve.snapshot_swaps"),
                        reg.counter("serve.ttl_scans"),
                        reg.counter("serve.ttl_expired"),
-                       reg.counter("serve.remeasure_dropped")};
+                       reg.counter("serve.remeasure_dropped"),
+                       reg.counter("serve.plan_requests"),
+                       reg.counter("serve.plan_refined")};
   return s;
 }
 
@@ -229,99 +237,175 @@ std::vector<atlas::MeasurementRequest> plan_remeasurement(
                             vps_per_target, packets);
 }
 
+namespace {
+
+/// Margin, in squared-chord units, that the proximity planner's key filter
+/// keeps past the M-th smallest key. Keys and the haversine term h = key/4
+/// are both computed to ~1e-15, so a VP whose key exceeds the cut by this
+/// much is at least 2R * 2.5e-13 km (hundreds of ulps) farther than each
+/// of the M below it and can never enter the exact top M.
+constexpr double kChordKeyMargin = 1e-12;
+
+/// The planner behind both pool overloads. Every target inside a stale
+/// prefix gets `k` requests: the stride spread when `prior` is null or has
+/// no estimate for the prefix, else the guards plus the nearest pool VPs
+/// to the prior estimate. Output order: stale-list order, then target
+/// column order within a prefix.
+std::vector<atlas::MeasurementRequest> plan_requests(
+    const scenario::Scenario& s, std::span<const net::Prefix> stale,
+    const publish::Snapshot* prior, std::span<const sim::HostId> vps,
+    std::size_t vps_per_target, int packets) {
+  std::vector<atlas::MeasurementRequest> requests;
+  if (vps.empty() || stale.empty()) return requests;
+  const std::size_t n_vps = vps.size();
+  const std::size_t k =
+      vps_per_target == 0 ? n_vps : std::min(vps_per_target, n_vps);
+  // Spread VPs deterministically: stride through the pool from a
+  // per-target offset so successive targets reuse different VPs.
+  const std::size_t stride = n_vps / k ? n_vps / k : 1;
+  // Guard VPs: a quarter of the budget stays globally spread so a prefix
+  // that moved continents since `prior` still gets constraints near its
+  // *new* home; without them every selected VP sits near the stale
+  // estimate and the fix can't escape it.
+  const std::size_t guards = k > 1 ? std::max<std::size_t>(1, k / 4) : 0;
+  // Guards can displace at most `guards` of the ranked VPs, so the top
+  // M by (distance, pool index) is all a target ever reads.
+  const std::size_t m = std::min(n_vps, k + guards);
+
+  // Targets by address: a prefix's targets are one contiguous run.
+  const auto& targets = s.targets();
+  std::vector<std::pair<std::uint32_t, std::size_t>> by_addr(targets.size());
+  for (std::size_t col = 0; col < targets.size(); ++col) {
+    by_addr[col] = {s.world().host(targets[col]).addr.value(), col};
+  }
+  std::sort(by_addr.begin(), by_addr.end());
+
+  // Each prefix's run in by_addr and its first slot in the output.
+  struct Slice {
+    std::size_t lo = 0, hi = 0, out = 0;
+  };
+  std::vector<Slice> slices(stale.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < stale.size(); ++i) {
+    const std::uint64_t first = stale[i].network().value();
+    const std::uint64_t last = first + stale[i].size() - 1;
+    const auto lo = std::lower_bound(
+        by_addr.begin(), by_addr.end(), first,
+        [](const auto& e, std::uint64_t a) { return e.first < a; });
+    const auto hi = std::upper_bound(
+        lo, by_addr.end(), last,
+        [](std::uint64_t a, const auto& e) { return a < e.first; });
+    slices[i] = {static_cast<std::size_t>(lo - by_addr.begin()),
+                 static_cast<std::size_t>(hi - by_addr.begin()), total};
+    total += static_cast<std::size_t>(hi - lo) * k;
+  }
+  requests.resize(total);
+
+  std::vector<geo::GeoPoint> vp_locs;
+  geo::PointsSoA vp_pts;
+  if (prior != nullptr) {
+    vp_locs.reserve(n_vps);
+    for (const sim::HostId vp : vps) {
+      vp_locs.push_back(s.world().host(vp).reported_location);
+    }
+    vp_pts = geo::PointsSoA::build(vp_locs);
+  }
+
+  std::vector<std::size_t> refined(stale.size(), 0);
+  util::parallel_for(stale.size(), [&](std::size_t i) {
+    const Slice& sl = slices[i];
+    if (sl.lo == sl.hi) return;
+    std::vector<std::size_t> cols;
+    cols.reserve(sl.hi - sl.lo);
+    for (std::size_t t = sl.lo; t < sl.hi; ++t) {
+      cols.push_back(by_addr[t].second);
+    }
+    std::sort(cols.begin(), cols.end());
+    atlas::MeasurementRequest* out = requests.data() + sl.out;
+    const auto emit = [&](std::size_t row, std::size_t col) {
+      *out++ = atlas::MeasurementRequest{.vp = vps[row],
+                                         .target = targets[col],
+                                         .kind = atlas::MeasurementKind::Ping,
+                                         .packets = packets};
+    };
+
+    const auto hit = prior != nullptr ? prior->find(stale[i].network())
+                                      : std::nullopt;
+    if (!hit) {
+      // No prior estimate (a prefix new to the dataset): stride spread.
+      for (const std::size_t col : cols) {
+        for (std::size_t j = 0; j < k; ++j) {
+          emit((col + j * stride) % n_vps, col);
+        }
+      }
+      return;
+    }
+
+    // Rank once per prefix. Squared chord to the prior's unit vector is
+    // monotone in great-circle distance and needs no libm call, so it
+    // filters the pool down to the candidates for the top M; only those
+    // pay the exact distance_km, ranked by (distance, pool index).
+    geo::PointsSoA here;
+    here.push_back(hit->location);
+    const double px = here.x[0], py = here.y[0], pz = here.z[0];
+    std::vector<double> keys(n_vps);
+    for (std::size_t row = 0; row < n_vps; ++row) {
+      const double dx = vp_pts.x[row] - px;
+      const double dy = vp_pts.y[row] - py;
+      const double dz = vp_pts.z[row] - pz;
+      keys[row] = dx * dx + dy * dy + dz * dz;
+    }
+    std::vector<double> nth(keys);
+    std::nth_element(nth.begin(), nth.begin() + (m - 1), nth.end());
+    const double cut = nth[m - 1] + kChordKeyMargin;
+    std::vector<std::pair<double, std::size_t>> ranked;
+    for (std::size_t row = 0; row < n_vps; ++row) {
+      if (keys[row] <= cut) {
+        ranked.emplace_back(geo::distance_km(vp_locs[row], hit->location),
+                            row);
+      }
+    }
+    std::sort(ranked.begin(), ranked.end());
+    refined[i] = ranked.size();
+
+    std::vector<std::size_t> rows;
+    rows.reserve(k);
+    const auto take = [&rows](std::size_t row) {
+      if (std::find(rows.begin(), rows.end(), row) == rows.end()) {
+        rows.push_back(row);
+      }
+    };
+    for (const std::size_t col : cols) {
+      rows.clear();
+      for (std::size_t j = 0; j < guards; ++j) take((col + j * stride) % n_vps);
+      for (std::size_t j = 0; j < ranked.size() && rows.size() < k; ++j) {
+        take(ranked[j].second);
+      }
+      for (const std::size_t row : rows) emit(row, col);
+    }
+  });
+
+  ServeSeries& series = serve_series();
+  series.plan_requests.add(requests.size());
+  series.plan_refined.add(
+      std::accumulate(refined.begin(), refined.end(), std::size_t{0}));
+  return requests;
+}
+
+}  // namespace
+
 std::vector<atlas::MeasurementRequest> plan_remeasurement(
     const scenario::Scenario& s, std::span<const net::Prefix> stale,
     std::span<const sim::HostId> vps, std::size_t vps_per_target,
     int packets) {
-  std::vector<atlas::MeasurementRequest> requests;
-  if (vps.empty() || stale.empty()) return requests;
-  const std::size_t k =
-      vps_per_target == 0 ? vps.size() : std::min(vps_per_target, vps.size());
-  for (const net::Prefix& prefix : stale) {
-    for (std::size_t col = 0; col < s.targets().size(); ++col) {
-      const sim::HostId target = s.targets()[col];
-      if (!prefix.contains(s.world().host(target).addr)) continue;
-      // Spread the VPs deterministically: stride through the VP set from a
-      // per-target offset so successive targets reuse different VPs.
-      const std::size_t stride = vps.size() / k ? vps.size() / k : 1;
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::size_t row = (col + j * stride) % vps.size();
-        requests.push_back(atlas::MeasurementRequest{
-            .vp = vps[row],
-            .target = target,
-            .kind = atlas::MeasurementKind::Ping,
-            .packets = packets});
-      }
-    }
-  }
-  return requests;
+  return plan_requests(s, stale, nullptr, vps, vps_per_target, packets);
 }
 
 std::vector<atlas::MeasurementRequest> plan_remeasurement(
     const scenario::Scenario& s, std::span<const net::Prefix> stale,
     const publish::Snapshot& prior, std::span<const sim::HostId> vps,
     std::size_t vps_per_target, int packets) {
-  std::vector<atlas::MeasurementRequest> requests;
-  if (vps.empty() || stale.empty()) return requests;
-  const std::size_t k =
-      vps_per_target == 0 ? vps.size() : std::min(vps_per_target, vps.size());
-  // (distance to the prior estimate, pool index): recomputed per prefix,
-  // tie-broken by pool order so the plan is bit-stable.
-  std::vector<std::pair<double, std::size_t>> ranked(vps.size());
-  for (const net::Prefix& prefix : stale) {
-    const auto hit = prior.find(prefix.network());
-    for (std::size_t col = 0; col < s.targets().size(); ++col) {
-      const sim::HostId target = s.targets()[col];
-      if (!prefix.contains(s.world().host(target).addr)) continue;
-      if (!hit) {
-        // No prior estimate (a prefix new to the dataset): stride spread.
-        const std::size_t stride = vps.size() / k ? vps.size() / k : 1;
-        for (std::size_t j = 0; j < k; ++j) {
-          requests.push_back(atlas::MeasurementRequest{
-              .vp = vps[(col + j * stride) % vps.size()],
-              .target = target,
-              .kind = atlas::MeasurementKind::Ping,
-              .packets = packets});
-        }
-        continue;
-      }
-      // Guard VPs: a quarter of the budget stays globally spread so a
-      // prefix that moved continents since `prior` still gets constraints
-      // near its *new* home; without them every selected VP sits near the
-      // stale estimate and the fix can't escape it.
-      const std::size_t guards = k > 1 ? std::max<std::size_t>(1, k / 4) : 0;
-      std::vector<std::size_t> rows;
-      rows.reserve(k);
-      const std::size_t stride = vps.size() / k ? vps.size() / k : 1;
-      for (std::size_t j = 0; j < guards; ++j) {
-        const std::size_t row = (col + j * stride) % vps.size();
-        if (std::find(rows.begin(), rows.end(), row) == rows.end()) {
-          rows.push_back(row);
-        }
-      }
-      for (std::size_t row = 0; row < vps.size(); ++row) {
-        ranked[row] = {geo::distance_km(
-                           s.world().host(vps[row]).reported_location,
-                           hit->location),
-                       row};
-      }
-      std::sort(ranked.begin(), ranked.end());
-      for (std::size_t j = 0; j < vps.size() && rows.size() < k; ++j) {
-        const std::size_t row = ranked[j].second;
-        if (std::find(rows.begin(), rows.end(), row) == rows.end()) {
-          rows.push_back(row);
-        }
-      }
-      for (const std::size_t row : rows) {
-        requests.push_back(atlas::MeasurementRequest{
-            .vp = vps[row],
-            .target = target,
-            .kind = atlas::MeasurementKind::Ping,
-            .packets = packets});
-      }
-    }
-  }
-  return requests;
+  return plan_requests(s, stale, &prior, vps, vps_per_target, packets);
 }
 
 }  // namespace geoloc::serve

@@ -184,7 +184,8 @@ class GeoService {
 /// Turn stale prefixes back into an atlas campaign: for every scenario
 /// target inside a stale prefix, ping it from `vps_per_target` VPs (spread
 /// deterministically over the scenario's VP set). The result feeds
-/// publish::refresh_entries().
+/// publish::refresh_entries(). Every overload bumps the process-wide
+/// "serve.plan_requests" counter by the number of requests it returns.
 std::vector<atlas::MeasurementRequest> plan_remeasurement(
     const scenario::Scenario& s, std::span<const net::Prefix> stale,
     std::size_t vps_per_target = 50, int packets = 3);
@@ -202,6 +203,16 @@ std::vector<atlas::MeasurementRequest> plan_remeasurement(
 /// prefix's *prior* published estimate (Section 3's result that nearby VPs
 /// carry nearly all of CBG's accuracy at a fraction of the cost). Prefixes
 /// absent from `prior` fall back to the deterministic stride spread.
+///
+/// Ranking contract, per target (k = vps_per_target, 0 or > pool = all):
+///   1. max(1, k/4) stride guards first (none when k == 1), strided
+///      through the pool from the target's column, duplicates dropped;
+///   2. then pool VPs in ascending geo::distance_km(VP reported location,
+///      prior location) — that argument order — ties broken by pool
+///      order, skipping guards already taken, until k are chosen.
+/// Requests come in stale-list order, then target column order, k per
+/// target. The output is identical at any GEOLOC_THREADS: prefixes are
+/// planned in parallel, each into its own precomputed output slice.
 std::vector<atlas::MeasurementRequest> plan_remeasurement(
     const scenario::Scenario& s, std::span<const net::Prefix> stale,
     const publish::Snapshot& prior, std::span<const sim::HostId> vps,

@@ -368,12 +368,13 @@ void Server::acceptor_loop() {
           cfg_.max_connections) {
         // Admission control: a typed reply, then close. The frame is 14
         // bytes — it fits any socket buffer, so the non-blocking send
-        // only fails when the peer is already gone.
+        // only fails when the peer is already gone. Counted first, so a
+        // client that has seen the reply also sees the count in stats().
+        counters_.conns_shed.add();
+        net_series().conns_shed.add();
         (void)::send(fd, overloaded_frame.data(), overloaded_frame.size(),
                      MSG_NOSIGNAL);
         ::close(fd);
-        counters_.conns_shed.add();
-        net_series().conns_shed.add();
         continue;
       }
       const int one = 1;
@@ -428,16 +429,18 @@ void Server::adopt_connections(Worker& w) {
 void Server::close_conn(Worker& w, Conn& c, bool deadline_expired) {
   w.wheel.cancel(&c);
   (void)::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
-  ::close(c.fd);
-  const std::size_t unsent = c.out.size() - c.out_pos;
-  if (unsent > 0) {
-    outstanding_bytes_.fetch_sub(unsent, std::memory_order_acq_rel);
-  }
+  // Counted before the close, so a peer that has seen the EOF also sees
+  // the count in stats().
   counters_.conns_closed.add();
   net_series().conns_closed.add();
   if (deadline_expired) {
     counters_.deadline_closed.add();
     net_series().deadline_closed.add();
+  }
+  ::close(c.fd);
+  const std::size_t unsent = c.out.size() - c.out_pos;
+  if (unsent > 0) {
+    outstanding_bytes_.fetch_sub(unsent, std::memory_order_acq_rel);
   }
   const int fd = c.fd;
   open_conns_.fetch_sub(1, std::memory_order_acq_rel);

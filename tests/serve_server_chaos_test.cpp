@@ -306,22 +306,38 @@ TEST(ServeServer, AbruptResetMidRequestIsSurvived) {
 // -- deadlines: slowloris defense ------------------------------------------
 
 TEST(ServeServer, SlowDripSenderIsClosedByReadDeadline) {
+  // The deadline is 10x the drip interval, so a sleep stretched by a
+  // loaded host rarely lets it fire mid-drip; when it does, the failed send
+  // is only acceptable if the gap since the previous byte really reached
+  // the deadline.
+  constexpr auto kDrip = 40ms;
   ServerConfig cfg;
-  cfg.read_deadline_ms = 150;
+  cfg.read_deadline_ms = 10 * static_cast<int>(kDrip.count());
+  const std::chrono::milliseconds deadline(cfg.read_deadline_ms);
   Rig rig(cfg);
   TcpClient c = rig.client();
   const auto frame = wire::encode_lookup_request(1, addr("10.0.0.1"), 0.0);
   const auto start = std::chrono::steady_clock::now();
-  // Drip one byte every 40 ms: each byte is activity, but never a whole
+  // Drip one byte per interval: each byte is activity, but never a whole
   // frame. The deadline is measured from the last byte, so the close
-  // lands ~150-300 ms after the drip stalls.
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(c.send_raw(bytes_of(frame).subspan(i, 1)));
-    std::this_thread::sleep_for(40ms);
+  // lands one to two deadlines after the drip stalls.
+  auto last_byte = start;
+  bool closed_mid_drip = false;
+  for (std::size_t i = 0; i < 3 && !closed_mid_drip; ++i) {
+    if (!c.send_raw(bytes_of(frame).subspan(i, 1))) {
+      const auto gap = std::chrono::steady_clock::now() - last_byte;
+      ASSERT_GE(gap, deadline) << "send failed before the deadline was due";
+      closed_mid_drip = true;
+      break;
+    }
+    last_byte = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(kDrip);
   }
-  EXPECT_TRUE(c.recv_eof(5000)) << "read deadline never fired";
+  if (!closed_mid_drip) {
+    EXPECT_TRUE(c.recv_eof(5000)) << "read deadline never fired";
+  }
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(elapsed, 3s);
+  EXPECT_LT(elapsed, 4s);
   EXPECT_GE(rig.server->stats().deadline_closed, 1u);
 }
 
