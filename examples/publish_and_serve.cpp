@@ -43,7 +43,7 @@ int main() {
   const auto records = publish::compile_entries(scenario, opts);
 
   // 2. Publish v1: write the snapshot file, re-load it (exercising the
-  //    magic/version/CRC validation a consumer would hit), serve from it.
+  //    frame/version/XXH64 validation a consumer would hit), serve from it.
   const std::string path = "publish_and_serve_v1.bin";
   publish::SnapshotBuilder builder;
   builder.add(records);
@@ -61,8 +61,9 @@ int main() {
     std::fprintf(stderr, "load failed: %s\n", error.c_str());
     return 1;
   }
-  std::printf("\npublished v1: %zu entries, payload CRC %08x -> %s\n",
-              v1->size(), v1->payload_crc(), path.c_str());
+  std::printf("\npublished v1: %zu entries, payload XXH64 %016llx -> %s\n",
+              v1->size(), static_cast<unsigned long long>(v1->checksum()),
+              path.c_str());
   const auto quality = eval::evaluate_snapshot(scenario, *v1);
   std::printf("quality: %zu/%zu covered, median error %.1f km, "
               "%.0f%% city-level\n",

@@ -62,7 +62,6 @@ std::vector<std::size_t> greedy_coverage_rows(const scenario::Scenario& s,
 
 struct TwoStepConfig {
   CbgConfig cbg;            ///< used for the step-1 region
-  int sample_for_seed = 256;  ///< unused here; reserved for greedy tuning
 };
 
 /// Per-target outcome of the two-step algorithm, including the measurement

@@ -1,64 +1,22 @@
 #include "publish/snapshot.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
 #include <cstring>
 #include <unordered_map>
 #include <utility>
-
-#include "util/crc32.h"
-#include "util/durable.h"
 
 namespace geoloc::publish {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4E534C47u;  // "GLSN" little-endian
-
-// -- little-endian field codecs (byte-order independent) -------------------
-
-void store_u16(std::byte* p, std::uint16_t v) noexcept {
-  p[0] = static_cast<std::byte>(v & 0xFF);
-  p[1] = static_cast<std::byte>(v >> 8);
-}
-void store_u32(std::byte* p, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-void store_u64(std::byte* p, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-void store_f64(std::byte* p, double v) noexcept {
-  store_u64(p, std::bit_cast<std::uint64_t>(v));
-}
-void store_f32(std::byte* p, float v) noexcept {
-  store_u32(p, std::bit_cast<std::uint32_t>(v));
-}
-
-std::uint16_t load_u16(const std::byte* p) noexcept {
-  return static_cast<std::uint16_t>(static_cast<std::uint8_t>(p[0]) |
-                                    (static_cast<std::uint8_t>(p[1]) << 8));
-}
-std::uint32_t load_u32(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-std::uint64_t load_u64(const std::byte* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-double load_f64(const std::byte* p) noexcept {
-  return std::bit_cast<double>(load_u64(p));
-}
-float load_f32(const std::byte* p) noexcept {
-  return std::bit_cast<float>(load_u32(p));
-}
+using util::durable::load_f32;
+using util::durable::load_f64;
+using util::durable::load_u32;
+using util::durable::load_u64;
+using util::durable::store_f32;
+using util::durable::store_f64;
+using util::durable::store_u32;
+using util::durable::store_u64;
 
 bool fail(std::string* error, std::string message) {
   if (error) *error = std::move(message);
@@ -128,18 +86,20 @@ std::vector<std::byte> SnapshotBuilder::build(const SnapshotMeta& meta) const {
   }
 
   // String pool: snapshot source first, then per-entry provenance,
-  // deduplicated.
-  std::vector<char> pool;
+  // deduplicated. Only offsets are assigned here; the bytes go straight
+  // into the frame below.
+  std::vector<std::string_view> pool_strings;
   std::unordered_map<std::string_view, std::uint32_t> interned;
+  std::size_t pool_bytes = 0;
   const auto intern = [&](std::string_view s) -> std::uint32_t {
     if (s.empty()) return 0;
-    if (const auto it = interned.find(s); it != interned.end()) {
-      return it->second;
+    const auto [it, inserted] =
+        interned.try_emplace(s, static_cast<std::uint32_t>(pool_bytes));
+    if (inserted) {
+      pool_strings.push_back(s);
+      pool_bytes += s.size();
     }
-    const auto offset = static_cast<std::uint32_t>(pool.size());
-    pool.insert(pool.end(), s.begin(), s.end());
-    interned.emplace(s, offset);
-    return offset;
+    return it->second;
   };
   const std::uint32_t source_offset = intern(meta.source);
   std::vector<std::uint32_t> provenance_offsets(kept.size());
@@ -147,11 +107,21 @@ std::vector<std::byte> SnapshotBuilder::build(const SnapshotMeta& meta) const {
     provenance_offsets[i] = intern(kept[i]->provenance);
   }
 
-  const std::size_t total =
-      kHeaderBytes + kept.size() * kEntryStride + pool.size();
-  std::vector<std::byte> out(total);
+  // One frame-sized buffer: metadata, entries and pool are written in
+  // place, then seal_frame stamps the header and XXH64 trailer around them.
+  const std::size_t entry_bytes = kept.size() * kEntryStride;
+  std::vector<std::byte> out(util::durable::kFrameOverheadBytes + kMetaBytes +
+                             entry_bytes + pool_bytes);
+  std::byte* m = out.data() + util::durable::kFrameHeaderBytes;
+  store_u64(m + 0, kept.size());
+  store_u64(m + 8, pool_bytes);
+  store_f64(m + 16, meta.created_at_s);
+  store_u32(m + 24, meta.dataset_version);
+  store_u32(m + 28, source_offset);
+  store_u32(m + 32, static_cast<std::uint32_t>(meta.source.size()));
+  store_u32(m + 36, 0);
 
-  std::byte* e = out.data() + kHeaderBytes;
+  std::byte* e = m + kMetaBytes;
   for (std::size_t i = 0; i < kept.size(); ++i, e += kEntryStride) {
     const Record& r = *kept[i];
     store_u32(e + 0, r.prefix.network().value());
@@ -167,43 +137,28 @@ std::vector<std::byte> SnapshotBuilder::build(const SnapshotMeta& meta) const {
     store_u32(e + 40, provenance_offsets[i]);
     store_u32(e + 44, static_cast<std::uint32_t>(r.provenance.size()));
   }
-  if (!pool.empty()) {
-    std::memcpy(out.data() + kHeaderBytes + kept.size() * kEntryStride,
-                pool.data(), pool.size());
+  for (const std::string_view str : pool_strings) {
+    std::memcpy(e, str.data(), str.size());
+    e += str.size();
   }
-
-  std::byte* h = out.data();
-  store_u32(h + 0, kMagic);
-  store_u16(h + 4, kFormatVersion);
-  store_u16(h + 6, static_cast<std::uint16_t>(kHeaderBytes));
-  store_u32(h + 8, meta.dataset_version);
-  store_u32(h + 12, static_cast<std::uint32_t>(kEntryStride));
-  store_u64(h + 16, kept.size());
-  store_u64(h + 24, pool.size());
-  store_f64(h + 32, meta.created_at_s);
-  store_u32(h + 40, source_offset);
-  store_u32(h + 44, static_cast<std::uint32_t>(meta.source.size()));
-  const std::uint32_t payload_crc = util::crc32(
-      std::span<const std::byte>(out).subspan(kHeaderBytes));
-  store_u32(h + 48, payload_crc);
-  store_u32(h + 52, util::crc32(std::span<const std::byte>(h, 52)));
-  store_u64(h + 56, 0);
+  util::durable::seal_frame(out, kSnapshotMagic, kFormatVersion);
   return out;
 }
 
 bool SnapshotBuilder::write_file(const std::string& path,
                                  const SnapshotMeta& meta,
                                  std::string* error) const {
-  // Atomic replacement (util/durable.h): a crash mid-publish leaves the
-  // previous snapshot version intact, never a torn file under the name a
-  // serving process is about to load.
+  // build() already yields the sealed frame; atomic replacement
+  // (util/durable.h) means a crash mid-publish leaves the previous snapshot
+  // version intact, never a torn file under the name a serving process is
+  // about to load.
   return util::durable::atomic_write_file(path, build(meta), error);
 }
 
 // -- reader ----------------------------------------------------------------
 
 SnapshotEntry Snapshot::entry(std::size_t i) const noexcept {
-  const std::byte* e = raw_.data() + kHeaderBytes + i * kEntryStride;
+  const std::byte* e = entries_ + i * kEntryStride;
   SnapshotEntry out;
   out.prefix = net::Prefix{net::IPv4Address{load_u32(e + 0)},
                            static_cast<std::uint8_t>(e[4])};
@@ -216,8 +171,8 @@ SnapshotEntry Snapshot::entry(std::size_t i) const noexcept {
   out.ttl_s = load_f32(e + 36);
   const std::uint32_t off = load_u32(e + 40);
   const std::uint32_t len = load_u32(e + 44);
-  out.provenance = std::string_view(
-      reinterpret_cast<const char*>(raw_.data() + pool_offset_ + off), len);
+  out.provenance =
+      std::string_view(reinterpret_cast<const char*>(pool_ + off), len);
   return out;
 }
 
@@ -229,69 +184,85 @@ std::optional<SnapshotEntry> Snapshot::find(net::IPv4Address a) const {
 
 std::shared_ptr<const Snapshot> Snapshot::from_bytes(
     std::vector<std::byte> bytes, std::string* error) {
+  auto owned = std::make_shared<std::vector<std::byte>>(std::move(bytes));
+  util::durable::FramedView view =
+      util::durable::open_frame(*owned, kSnapshotMagic);
+  if (!view.ok()) {
+    fail(error, "snapshot: " + view.error);
+    return nullptr;
+  }
+  view.keepalive = std::move(owned);
+  return parse(std::move(view), error);
+}
+
+std::shared_ptr<const Snapshot> Snapshot::load(const std::string& path,
+                                               std::string* error,
+                                               bool quarantine_corrupt) {
+  util::durable::FramedView view = util::durable::read_framed_mapped(
+      path, kSnapshotMagic, quarantine_corrupt);
+  if (!view.ok()) {
+    fail(error, "snapshot: " + view.error);
+    return nullptr;
+  }
+  auto snap = parse(std::move(view), error);
+  // The frame was intact but the content is not a valid snapshot:
+  // quarantine it too, so the publisher's next write starts clean and
+  // retries don't spin on the same bad bytes.
+  if (!snap && quarantine_corrupt) util::durable::quarantine(path);
+  return snap;
+}
+
+std::shared_ptr<const Snapshot> Snapshot::parse(
+    util::durable::FramedView view, std::string* error) {
   const auto reject = [&](std::string message) {
     fail(error, "snapshot: " + std::move(message));
     return nullptr;
   };
 
-  if (bytes.size() < kHeaderBytes) {
-    return reject("truncated header (" + std::to_string(bytes.size()) +
+  if (view.version != kFormatVersion) {
+    return reject("unsupported format version " +
+                  std::to_string(view.version));
+  }
+  const std::span<const std::byte> payload = view.payload;
+  if (payload.size() < kMetaBytes) {
+    return reject("truncated metadata (" + std::to_string(payload.size()) +
                   " bytes)");
   }
-  const std::byte* h = bytes.data();
-  if (load_u32(h + 0) != kMagic) return reject("bad magic");
-  if (load_u32(h + 52) !=
-      util::crc32(std::span<const std::byte>(h, 52))) {
-    return reject("header CRC mismatch");
+  const std::byte* m = payload.data();
+  const std::uint64_t count = load_u64(m + 0);
+  const std::uint64_t pool_bytes = load_u64(m + 8);
+  // Overflow-safe size check: bound the count by the payload first.
+  const std::size_t body = payload.size() - kMetaBytes;
+  if (count > body / kEntryStride) {
+    return reject("truncated: entry region exceeds payload");
   }
-  const std::uint16_t version = load_u16(h + 4);
-  if (version != kFormatVersion) {
-    return reject("unsupported format version " + std::to_string(version));
+  if (pool_bytes != body - count * kEntryStride) {
+    return reject("size mismatch: " + std::to_string(count) + " entries and " +
+                  std::to_string(pool_bytes) + " pool bytes in a " +
+                  std::to_string(payload.size()) + "-byte payload");
   }
-  if (load_u16(h + 6) != kHeaderBytes) return reject("bad header size");
-  if (load_u32(h + 12) != kEntryStride) return reject("bad entry stride");
-
-  const std::uint64_t count = load_u64(h + 16);
-  const std::uint64_t pool_bytes = load_u64(h + 24);
-  // Overflow-safe expected-size check.
-  if (count > (bytes.size() - kHeaderBytes) / kEntryStride) {
-    return reject("truncated: entry region exceeds file size");
-  }
-  const std::uint64_t expected =
-      kHeaderBytes + count * kEntryStride + pool_bytes;
-  if (expected != bytes.size()) {
-    return reject("size mismatch: expected " + std::to_string(expected) +
-                  " bytes, have " + std::to_string(bytes.size()));
-  }
-  if (load_u32(h + 48) !=
-      util::crc32(std::span<const std::byte>(bytes).subspan(kHeaderBytes))) {
-    return reject("payload CRC mismatch");
-  }
-
-  const std::uint32_t source_offset = load_u32(h + 40);
-  const std::uint32_t source_len = load_u32(h + 44);
+  const std::uint32_t source_offset = load_u32(m + 28);
+  const std::uint32_t source_len = load_u32(m + 32);
   if (static_cast<std::uint64_t>(source_offset) + source_len > pool_bytes) {
     return reject("source string out of pool range");
   }
 
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->raw_ = std::move(bytes);
+  snap->entries_ = m + kMetaBytes;
+  snap->pool_ = snap->entries_ + count * kEntryStride;
   snap->entry_count_ = static_cast<std::size_t>(count);
-  snap->pool_offset_ =
-      kHeaderBytes + static_cast<std::size_t>(count) * kEntryStride;
-  snap->dataset_version_ = load_u32(h + 8);
-  snap->created_at_s_ = load_f64(h + 32);
-  snap->payload_crc_ = load_u32(h + 48);
-  h = snap->raw_.data();  // bytes moved; re-anchor views
+  snap->dataset_version_ = load_u32(m + 24);
+  snap->created_at_s_ = load_f64(m + 16);
+  snap->checksum_ = view.checksum;
   snap->source_ = std::string_view(
-      reinterpret_cast<const char*>(h + snap->pool_offset_ + source_offset),
-      source_len);
+      reinterpret_cast<const char*>(snap->pool_ + source_offset), source_len);
+  snap->keepalive_ = std::move(view.keepalive);
 
   // Semantic validation: every entry well-formed, strictly sorted.
   std::vector<std::pair<net::Prefix, std::uint32_t>> index_entries;
   index_entries.reserve(snap->entry_count_);
   for (std::size_t i = 0; i < snap->entry_count_; ++i) {
-    const std::byte* e = h + kHeaderBytes + i * kEntryStride;
+    const std::byte* e = snap->entries_ + i * kEntryStride;
     const std::uint32_t network = load_u32(e + 0);
     const int len = static_cast<std::uint8_t>(e[4]);
     if (len > 32) {
@@ -324,34 +295,6 @@ std::shared_ptr<const Snapshot> Snapshot::from_bytes(
     index_entries.emplace_back(prefix, static_cast<std::uint32_t>(i));
   }
   snap->index_ = net::FlatLpm<std::uint32_t>::build(std::move(index_entries));
-  return snap;
-}
-
-std::shared_ptr<const Snapshot> Snapshot::load(const std::string& path,
-                                               std::string* error,
-                                               bool quarantine_corrupt) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    fail(error, "snapshot: cannot open: " + path);
-    return nullptr;
-  }
-  std::vector<std::byte> bytes;
-  std::byte buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    fail(error, "snapshot: read error: " + path);
-    return nullptr;
-  }
-  auto snap = from_bytes(std::move(bytes), error);
-  // The file existed and was readable but failed validation: quarantine it
-  // so the publisher's next write starts clean and retries don't spin on
-  // the same bad bytes (util/durable.h quarantine semantics).
-  if (!snap && quarantine_corrupt) util::durable::quarantine(path);
   return snap;
 }
 

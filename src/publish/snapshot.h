@@ -14,46 +14,51 @@
 //     simulated-time creation stamp; publish/diff.h reports churn between
 //     versions (the longitudinal-study finding that inter-version movement
 //     is itself signal).
-//   * **Corruption-evident** — magic, format version, and CRC-32 over both
+//   * **Corruption-evident** — the file is a util::durable frame: frame
+//     magic, caller magic, format version, exact length and XXH64 over
 //     header and payload are validated before any entry is interpreted;
 //     truncated, bit-flipped or semantically invalid files are rejected
 //     with a clean error, never undefined behaviour.
-//   * **Zero-copy serving** — the reader keeps the file bytes as one flat
-//     buffer; entries decode on demand and provenance strings are
-//     string_views into the buffer. Loading builds a net::FlatLpm index
-//     over the (already sorted) entries for O(log n) cache-friendly LPM.
+//   * **Zero-copy serving** — load() mmaps the file and the reader keeps
+//     a view of the verified payload; entries decode on demand and
+//     provenance strings are string_views into it. Loading builds a
+//     net::FlatLpm index over the (already sorted) entries for O(log n)
+//     cache-friendly LPM.
 //
 // On-disk layout (all integers little-endian, doubles as IEEE-754 bits):
 //
-//   [header: 64 bytes]
-//     0  u32 magic            "GLSN" (0x47 0x4C 0x53 0x4E)
-//     4  u16 format_version   kFormatVersion
-//     6  u16 header_bytes     64
-//     8  u32 dataset_version  monotonically increasing per publication
-//    12  u32 entry_stride     48
-//    16  u64 entry_count
-//    24  u64 string_pool_bytes
-//    32  f64 created_at_s     simulated publication time
-//    40  u32 source_offset    snapshot-level source string (in pool)
-//    44  u32 source_len
-//    48  u32 payload_crc32    CRC-32 over entries || string pool
-//    52  u32 header_crc32     CRC-32 over header bytes [0, 52)
-//    56  u64 reserved (0)
-//   [entries: entry_count x 48 bytes, sorted by (network, prefix length),
-//    no duplicate prefixes]
-//     0  u32 network          host bits below prefix_len are zero
-//     4  u8  prefix_len       0..32
-//     5  u8  method           publish::Method
-//     6  u8  tier             core::CbgVerdict
-//     7  u8  flags            reserved, 0
-//     8  f64 lat_deg
-//    16  f64 lon_deg
-//    24  f64 measured_at_s    simulated measurement time
-//    32  f32 confidence_radius_km
-//    36  f32 ttl_s            staleness horizon relative to measured_at_s
-//    40  u32 provenance_offset (into string pool)
-//    44  u32 provenance_len
-//   [string pool: string_pool_bytes bytes, deduplicated]
+//   [durable frame header: 40 bytes — util/durable.h]
+//     frame magic "GLDURBL1", caller magic kSnapshotMagic ("GLSNAPSH"),
+//     format version kFormatVersion, payload length, header XXH64
+//   [payload]
+//     [metadata: kMetaBytes = 40 bytes]
+//        0  u64 entry_count
+//        8  u64 string_pool_bytes
+//       16  f64 created_at_s     simulated publication time
+//       24  u32 dataset_version  monotonically increasing per publication
+//       28  u32 source_offset    snapshot-level source string (in pool)
+//       32  u32 source_len
+//       36  u32 reserved (0)
+//     [entries: entry_count x 48 bytes, sorted by (network, prefix length),
+//      no duplicate prefixes]
+//        0  u32 network          host bits below prefix_len are zero
+//        4  u8  prefix_len       0..32
+//        5  u8  method           publish::Method
+//        6  u8  tier             core::CbgVerdict
+//        7  u8  flags            reserved, 0
+//        8  f64 lat_deg
+//       16  f64 lon_deg
+//       24  f64 measured_at_s    simulated measurement time
+//       32  f32 confidence_radius_km
+//       36  f32 ttl_s            staleness horizon relative to measured_at_s
+//       40  u32 provenance_offset (into string pool)
+//       44  u32 provenance_len
+//     [string pool: string_pool_bytes bytes, deduplicated]
+//   [durable frame trailer: XXH64 of the payload — checksum()]
+//
+// Format version 2 moved the snapshot into the durable frame. Version 1
+// files (own "GLSN" header with CRC-32s) fail the frame magic and are
+// handled like any other corrupt file; there is no compatibility reader.
 #pragma once
 
 #include <cstddef>
@@ -70,11 +75,14 @@
 #include "geo/geopoint.h"
 #include "net/flat_lpm.h"
 #include "net/ipv4.h"
+#include "util/durable.h"
 
 namespace geoloc::publish {
 
-inline constexpr std::uint16_t kFormatVersion = 1;
-inline constexpr std::size_t kHeaderBytes = 64;
+/// Caller magic of the durable frame: "GLSNAPSH" little-endian.
+inline constexpr std::uint64_t kSnapshotMagic = 0x485350414E534C47ULL;
+inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::size_t kMetaBytes = 40;
 inline constexpr std::size_t kEntryStride = 48;
 
 /// The technique that produced an entry.
@@ -99,7 +107,7 @@ struct Record {
   std::string provenance;
 };
 
-/// A decoded entry; `provenance` views into the snapshot's buffer and is
+/// A decoded entry; `provenance` views into the snapshot's payload and is
 /// valid for the snapshot's lifetime.
 struct SnapshotEntry {
   net::Prefix prefix;
@@ -151,13 +159,15 @@ struct SnapshotMeta {
 /// An immutable loaded snapshot. Thread-safe for concurrent reads.
 class Snapshot {
  public:
-  /// Parse and validate a snapshot from raw bytes (takes ownership).
-  /// Returns nullptr and sets *error on any corruption.
+  /// Parse and validate a framed snapshot from raw bytes (takes
+  /// ownership). Returns nullptr and sets *error on any corruption.
   static std::shared_ptr<const Snapshot> from_bytes(
       std::vector<std::byte> bytes, std::string* error = nullptr);
 
-  /// Read and validate a snapshot file. A file that exists but fails
-  /// validation is quarantined (renamed to `<path>.corrupt`, see
+  /// Map and validate a snapshot file (util::durable::read_framed_mapped).
+  /// The snapshot aliases the mapping, which outlives a later replacement
+  /// or unlink of `path`. A file that exists but fails validation — frame
+  /// or semantic — is quarantined (renamed to `<path>.corrupt`, see
   /// util/durable.h) unless `quarantine_corrupt` is false, so the caller's
   /// republish path writes a fresh file instead of fighting the bad one.
   static std::shared_ptr<const Snapshot> load(const std::string& path,
@@ -169,9 +179,8 @@ class Snapshot {
   }
   [[nodiscard]] double created_at_s() const noexcept { return created_at_s_; }
   [[nodiscard]] std::string_view source() const noexcept { return source_; }
-  [[nodiscard]] std::uint32_t payload_crc() const noexcept {
-    return payload_crc_;
-  }
+  /// XXH64 of the payload, as stored in the frame trailer.
+  [[nodiscard]] std::uint64_t checksum() const noexcept { return checksum_; }
 
   [[nodiscard]] std::size_t size() const noexcept { return entry_count_; }
   [[nodiscard]] bool empty() const noexcept { return entry_count_ == 0; }
@@ -192,11 +201,16 @@ class Snapshot {
  private:
   Snapshot() = default;
 
-  std::vector<std::byte> raw_;
+  /// Semantic validation of a verified frame, shared by from_bytes and load.
+  static std::shared_ptr<const Snapshot> parse(util::durable::FramedView view,
+                                               std::string* error);
+
+  std::shared_ptr<const void> keepalive_;  ///< owns the payload bytes
+  const std::byte* entries_ = nullptr;
+  const std::byte* pool_ = nullptr;
   std::size_t entry_count_ = 0;
-  std::size_t pool_offset_ = 0;  ///< byte offset of the string pool
   std::uint32_t dataset_version_ = 0;
-  std::uint32_t payload_crc_ = 0;
+  std::uint64_t checksum_ = 0;
   double created_at_s_ = 0.0;
   std::string_view source_;
   net::FlatLpm<std::uint32_t> index_;
@@ -213,7 +227,8 @@ class SnapshotBuilder {
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
-  /// Serialize. Deterministic: equal inputs yield identical bytes.
+  /// Serialize into one frame-sized buffer. Deterministic: equal inputs
+  /// yield identical bytes.
   [[nodiscard]] std::vector<std::byte> build(const SnapshotMeta& meta) const;
 
   /// Serialize straight to a file, atomically: the bytes are staged at a

@@ -155,8 +155,8 @@ std::optional<IntervalIndex> IntervalIndex::load(const std::string& path) {
   }
 
   // Alias the three arrays in place. The payload sits kFrameHeaderBytes
-  // (40) into a page-aligned mapping (or at the front of a heap buffer in
-  // the fallback), and the two u64 counts precede the u64 token array, so
+  // (40) into a page-aligned mapping (or into the heap buffer of the
+  // fallback), and the two u64 counts precede the u64 token array, so
   // every array lands on its natural alignment; the check below is the
   // belt-and-braces guard for an exotic allocator.
   const std::byte* base = fv.payload.data() + 2 * sizeof(std::uint64_t);

@@ -53,27 +53,6 @@ bool fail(std::string* error, std::string message) {
   return false;
 }
 
-void store_u32(std::byte* p, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-void store_u64(std::byte* p, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-std::uint32_t load_u32(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-std::uint64_t load_u64(const std::byte* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
 /// Parent directory of `path` ("." when the path has no slash), for the
 /// post-rename directory fsync that makes the new directory entry durable.
 std::string parent_dir(const std::string& path) {
@@ -108,9 +87,6 @@ constexpr std::uint64_t rotl64(std::uint64_t x, int r) noexcept {
   return (x << r) | (x >> (64 - r));
 }
 
-std::uint64_t read_u64(const std::byte* p) noexcept { return load_u64(p); }
-std::uint32_t read_u32(const std::byte* p) noexcept { return load_u32(p); }
-
 constexpr std::uint64_t xxh_round(std::uint64_t acc,
                                   std::uint64_t input) noexcept {
   acc += input * kPrime2;
@@ -138,10 +114,10 @@ std::uint64_t xxh64(std::span<const std::byte> bytes,
     std::uint64_t v3 = seed;
     std::uint64_t v4 = seed - kPrime1;
     do {
-      v1 = xxh_round(v1, read_u64(p));
-      v2 = xxh_round(v2, read_u64(p + 8));
-      v3 = xxh_round(v3, read_u64(p + 16));
-      v4 = xxh_round(v4, read_u64(p + 24));
+      v1 = xxh_round(v1, load_u64(p));
+      v2 = xxh_round(v2, load_u64(p + 8));
+      v3 = xxh_round(v3, load_u64(p + 16));
+      v4 = xxh_round(v4, load_u64(p + 24));
       p += 32;
     } while (p + 32 <= end);
     h = rotl64(v1, 1) + rotl64(v2, 7) + rotl64(v3, 12) + rotl64(v4, 18);
@@ -155,12 +131,12 @@ std::uint64_t xxh64(std::span<const std::byte> bytes,
 
   h += static_cast<std::uint64_t>(bytes.size());
   while (p + 8 <= end) {
-    h ^= xxh_round(0, read_u64(p));
+    h ^= xxh_round(0, load_u64(p));
     h = rotl64(h, 27) * kPrime1 + kPrime4;
     p += 8;
   }
   if (p + 4 <= end) {
-    h ^= static_cast<std::uint64_t>(read_u32(p)) * kPrime1;
+    h ^= static_cast<std::uint64_t>(load_u32(p)) * kPrime1;
     h = rotl64(h, 23) * kPrime2 + kPrime3;
     p += 4;
   }
@@ -261,91 +237,107 @@ bool quarantine(const std::string& path) {
 
 // -- framed files -----------------------------------------------------------
 
-bool write_framed(const std::string& path, std::uint64_t magic,
-                  std::uint32_t version, std::span<const std::byte> payload,
-                  std::string* error) {
-  std::vector<std::byte> out(kFrameOverheadBytes + payload.size());
-  std::byte* h = out.data();
+void seal_frame(std::span<std::byte> frame, std::uint64_t magic,
+                std::uint32_t version) noexcept {
+  std::byte* h = frame.data();
+  const std::size_t payload_len = frame.size() - kFrameOverheadBytes;
   store_u64(h + 0, kFrameMagic);
   store_u64(h + 8, magic);
   store_u32(h + 16, version);
   store_u32(h + 20, 0);
-  store_u64(h + 24, payload.size());
+  store_u64(h + 24, payload_len);
   store_u64(h + 32, xxh64(std::span<const std::byte>(h, 32)));
-  if (!payload.empty()) {
-    std::memcpy(h + kFrameHeaderBytes, payload.data(), payload.size());
-  }
-  store_u64(h + kFrameHeaderBytes + payload.size(), xxh64(payload));
-  return atomic_write_file(path, out, error);
+  store_u64(h + kFrameHeaderBytes + payload_len,
+            xxh64(std::span<const std::byte>(h + kFrameHeaderBytes,
+                                             payload_len)));
 }
 
-FramedRead read_framed(const std::string& path, std::uint64_t magic,
-                       bool quarantine_corrupt) {
-  FramedRead r;
-  const auto corrupt = [&](std::string why) -> FramedRead& {
-    r.status = ReadStatus::Corrupt;
-    r.error = "durable: " + path + ": " + std::move(why);
-    r.payload.clear();
-    if (quarantine_corrupt) quarantine(path);
-    return r;
+FramedView open_frame(std::span<const std::byte> frame, std::uint64_t magic) {
+  FramedView v;
+  const auto corrupt = [&](std::string why) -> FramedView& {
+    v.status = ReadStatus::Corrupt;
+    v.error = std::move(why);
+    return v;
   };
-
-  FilePtr f{std::fopen(path.c_str(), "rb")};
-  if (!f) {
-    r.status = errno == ENOENT ? ReadStatus::NotFound : ReadStatus::IoError;
-    r.error = "durable: cannot open: " + path;
-    if (r.status == ReadStatus::NotFound) metrics().reads_missing.add();
-    return r;
-  }
-
-  std::vector<std::byte> bytes;
-  std::byte buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  if (std::ferror(f.get()) != 0) {
-    r.status = ReadStatus::IoError;
-    r.error = "durable: read error: " + path;
-    return r;
-  }
-  f.reset();
-
-  if (bytes.size() < kFrameOverheadBytes) {
-    return corrupt("truncated frame (" + std::to_string(bytes.size()) +
+  if (frame.size() < kFrameOverheadBytes) {
+    return corrupt("truncated frame (" + std::to_string(frame.size()) +
                    " bytes)");
   }
-  const std::byte* h = bytes.data();
+  const std::byte* h = frame.data();
   if (load_u64(h + 0) != kFrameMagic) return corrupt("bad frame magic");
   if (load_u64(h + 32) != xxh64(std::span<const std::byte>(h, 32))) {
     return corrupt("header checksum mismatch");
   }
   if (load_u64(h + 8) != magic) return corrupt("foreign artifact magic");
   const std::uint64_t payload_len = load_u64(h + 24);
-  if (payload_len != bytes.size() - kFrameOverheadBytes) {
+  if (payload_len != frame.size() - kFrameOverheadBytes) {
     return corrupt("payload length " + std::to_string(payload_len) +
-                   " does not match file size " +
-                   std::to_string(bytes.size()));
+                   " does not match frame size " +
+                   std::to_string(frame.size()));
   }
-  const std::span<const std::byte> payload(h + kFrameHeaderBytes,
-                                           payload_len);
-  if (load_u64(h + kFrameHeaderBytes + payload_len) != xxh64(payload)) {
-    return corrupt("payload checksum mismatch");
-  }
+  const std::span<const std::byte> payload(h + kFrameHeaderBytes, payload_len);
+  const std::uint64_t checksum = load_u64(h + kFrameHeaderBytes + payload_len);
+  if (checksum != xxh64(payload)) return corrupt("payload checksum mismatch");
 
-  r.status = ReadStatus::Ok;
-  r.version = load_u32(h + 16);
-  r.payload.assign(payload.begin(), payload.end());
-  metrics().reads_ok.add();
-  return r;
+  v.status = ReadStatus::Ok;
+  v.version = load_u32(h + 16);
+  v.payload = payload;
+  v.checksum = checksum;
+  return v;
+}
+
+bool write_framed(const std::string& path, std::uint64_t magic,
+                  std::uint32_t version, std::span<const std::byte> payload,
+                  std::string* error) {
+  std::vector<std::byte> out(kFrameOverheadBytes + payload.size());
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(),
+                payload.size());
+  }
+  seal_frame(out, magic, version);
+  return atomic_write_file(path, out, error);
 }
 
 namespace {
 
-/// Holds a FramedRead so its payload vector outlives the view aliasing it.
-struct BufferKeepalive {
-  std::vector<std::byte> bytes;
-};
+/// Read the whole of `path` into `bytes`. NotFound and IoError come back
+/// with `error` set.
+ReadStatus read_file(const std::string& path, std::vector<std::byte>& bytes,
+                     std::string& error) {
+  FilePtr f{std::fopen(path.c_str(), "rb")};
+  if (!f) {
+    error = "durable: cannot open: " + path;
+    if (errno != ENOENT) return ReadStatus::IoError;
+    metrics().reads_missing.add();
+    return ReadStatus::NotFound;
+  }
+  std::byte buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  if (std::ferror(f.get()) != 0) {
+    error = "durable: read error: " + path;
+    return ReadStatus::IoError;
+  }
+  return ReadStatus::Ok;
+}
+
+/// Validate `frame` as read from `path`: Ok views come back as-is (the
+/// caller sets the keepalive); Corrupt ones get the path in their reason
+/// and, when asked, the file quarantined.
+FramedView open_file_frame(const std::string& path,
+                           std::span<const std::byte> frame,
+                           std::uint64_t magic, bool quarantine_corrupt) {
+  FramedView v = open_frame(frame, magic);
+  if (v.ok()) {
+    metrics().reads_ok.add();
+  } else {
+    v.error = "durable: " + path + ": " + v.error;
+    if (quarantine_corrupt) quarantine(path);
+  }
+  return v;
+}
 
 /// munmap-on-destruction owner of a whole-file read-only mapping.
 struct MmapKeepalive {
@@ -359,95 +351,66 @@ struct MmapKeepalive {
   MmapKeepalive& operator=(const MmapKeepalive&) = delete;
 };
 
-/// The buffered fallback: run read_framed and re-home its payload vector in
-/// the view's keepalive so the span stays valid.
-FramedView fallback_buffered(const std::string& path, std::uint64_t magic,
-                             bool quarantine_corrupt) {
+/// The buffered path: read the whole file onto the heap and validate it in
+/// place; the buffer becomes the view's keepalive.
+FramedView read_framed_buffered(const std::string& path, std::uint64_t magic,
+                                bool quarantine_corrupt) {
+  auto bytes = std::make_shared<std::vector<std::byte>>();
   FramedView v;
-  FramedRead r = read_framed(path, magic, quarantine_corrupt);
-  v.status = r.status;
-  v.version = r.version;
-  v.error = std::move(r.error);
-  v.mapped = false;
-  if (r.ok()) {
-    auto keep = std::make_shared<BufferKeepalive>();
-    keep->bytes = std::move(r.payload);
-    v.payload = keep->bytes;
-    v.keepalive = std::move(keep);
-  }
+  v.status = read_file(path, *bytes, v.error);
+  if (v.status != ReadStatus::Ok) return v;
+  v = open_file_frame(path, *bytes, magic, quarantine_corrupt);
+  if (v.ok()) v.keepalive = std::move(bytes);
   return v;
 }
 
 }  // namespace
 
+FramedRead read_framed(const std::string& path, std::uint64_t magic,
+                       bool quarantine_corrupt) {
+  FramedView v = read_framed_buffered(path, magic, quarantine_corrupt);
+  FramedRead r;
+  r.status = v.status;
+  r.version = v.version;
+  r.error = std::move(v.error);
+  if (v.ok()) r.payload.assign(v.payload.begin(), v.payload.end());
+  return r;
+}
+
 FramedView read_framed_mapped(const std::string& path, std::uint64_t magic,
                               bool quarantine_corrupt) {
   if (env::flag("GEOLOC_DURABLE_NO_MMAP")) {
-    return fallback_buffered(path, magic, quarantine_corrupt);
+    return read_framed_buffered(path, magic, quarantine_corrupt);
   }
-
-  FramedView v;
-  const auto corrupt = [&](std::string why) -> FramedView& {
-    v.status = ReadStatus::Corrupt;
-    v.error = "durable: " + path + ": " + std::move(why);
-    v.payload = {};
-    v.keepalive.reset();
-    if (quarantine_corrupt) quarantine(path);
-    return v;
-  };
 
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      v.status = ReadStatus::NotFound;
-      v.error = "durable: cannot open: " + path;
-      metrics().reads_missing.add();
-      return v;
-    }
-    return fallback_buffered(path, magic, quarantine_corrupt);
-  }
+  if (fd < 0) return read_framed_buffered(path, magic, quarantine_corrupt);
   struct ::stat st {};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+  if (::fstat(fd, &st) != 0 ||
+      st.st_size < static_cast<::off_t>(kFrameOverheadBytes)) {
+    // Too short to be a frame (or unstattable): the buffered path reports
+    // it without mapping a near-empty file.
     ::close(fd);
-    return fallback_buffered(path, magic, quarantine_corrupt);
+    return read_framed_buffered(path, magic, quarantine_corrupt);
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (size < kFrameOverheadBytes) {
-    ::close(fd);
-    return corrupt("truncated frame (" + std::to_string(size) + " bytes)");
-  }
   void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping holds its own reference to the file
   if (base == MAP_FAILED) {
-    return fallback_buffered(path, magic, quarantine_corrupt);
+    return read_framed_buffered(path, magic, quarantine_corrupt);
   }
   auto keep = std::make_shared<MmapKeepalive>();
   keep->base = base;
   keep->length = size;
 
-  // Identical validation sequence to read_framed, against the mapping.
-  const auto* h = static_cast<const std::byte*>(base);
-  if (load_u64(h + 0) != kFrameMagic) return corrupt("bad frame magic");
-  if (load_u64(h + 32) != xxh64(std::span<const std::byte>(h, 32))) {
-    return corrupt("header checksum mismatch");
+  FramedView v = open_file_frame(
+      path, std::span<const std::byte>(static_cast<const std::byte*>(base),
+                                       size),
+      magic, quarantine_corrupt);
+  if (v.ok()) {
+    v.keepalive = std::move(keep);
+    v.mapped = true;
   }
-  if (load_u64(h + 8) != magic) return corrupt("foreign artifact magic");
-  const std::uint64_t payload_len = load_u64(h + 24);
-  if (payload_len != size - kFrameOverheadBytes) {
-    return corrupt("payload length " + std::to_string(payload_len) +
-                   " does not match file size " + std::to_string(size));
-  }
-  const std::span<const std::byte> payload(h + kFrameHeaderBytes, payload_len);
-  if (load_u64(h + kFrameHeaderBytes + payload_len) != xxh64(payload)) {
-    return corrupt("payload checksum mismatch");
-  }
-
-  v.status = ReadStatus::Ok;
-  v.version = load_u32(h + 16);
-  v.payload = payload;
-  v.keepalive = std::move(keep);
-  v.mapped = true;
-  metrics().reads_ok.add();
   return v;
 }
 

@@ -25,6 +25,7 @@
 // buggy writer, a stale schema) degrades to a clean load failure too.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -88,10 +89,40 @@ inline constexpr std::size_t kFrameTrailerBytes = 8;
 inline constexpr std::size_t kFrameOverheadBytes =
     kFrameHeaderBytes + kFrameTrailerBytes;
 
-/// Frame `payload` and write it atomically to `path`.
-bool write_framed(const std::string& path, std::uint64_t magic,
-                  std::uint32_t version, std::span<const std::byte> payload,
-                  std::string* error = nullptr);
+// -- little-endian field codecs (byte-order independent) -------------------
+
+inline void store_u32(std::byte* p, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+  }
+}
+inline void store_u64(std::byte* p, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+  }
+}
+inline void store_f32(std::byte* p, float v) noexcept {
+  store_u32(p, std::bit_cast<std::uint32_t>(v));
+}
+inline void store_f64(std::byte* p, double v) noexcept {
+  store_u64(p, std::bit_cast<std::uint64_t>(v));
+}
+inline std::uint32_t load_u32(const std::byte* p) noexcept {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
+  return v;
+}
+inline std::uint64_t load_u64(const std::byte* p) noexcept {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
+  return v;
+}
+inline float load_f32(const std::byte* p) noexcept {
+  return std::bit_cast<float>(load_u32(p));
+}
+inline double load_f64(const std::byte* p) noexcept {
+  return std::bit_cast<double>(load_u64(p));
+}
 
 enum class ReadStatus : std::uint8_t {
   Ok,
@@ -99,6 +130,47 @@ enum class ReadStatus : std::uint8_t {
   IoError,   ///< open/read failed for a reason other than absence
   Corrupt,   ///< bad frame: wrong magic, bad length, failed checksum
 };
+
+/// A validated frame seen in place: `payload` views the verified bytes
+/// instead of owning a copy, and `keepalive` pins the backing storage (an
+/// mmap'd file, or a heap buffer) for as long as any copy of it is held.
+/// Consumers that parse the payload into flat arrays — the spatial interval
+/// index, published snapshots — alias it directly and skip the
+/// payload-sized allocation + memcpy of read_framed.
+struct FramedView {
+  ReadStatus status = ReadStatus::IoError;
+  std::uint32_t version = 0;            ///< caller format version (when Ok)
+  std::span<const std::byte> payload;   ///< verified payload bytes (when Ok)
+  std::uint64_t checksum = 0;           ///< payload XXH64 (when Ok)
+  /// Owns whatever `payload` points into. Keep (a copy of) this alive for
+  /// the lifetime of anything aliasing the payload.
+  std::shared_ptr<const void> keepalive;
+  bool mapped = false;                  ///< true = mmap, false = heap buffer
+  std::string error;                    ///< one-line reason (when not Ok)
+
+  [[nodiscard]] bool ok() const noexcept { return status == ReadStatus::Ok; }
+};
+
+/// Fill the header and trailer of `frame`, whose payload is already in
+/// place at [kFrameHeaderBytes, size - kFrameTrailerBytes). Writers that
+/// can lay their payload out directly (the snapshot builder) seal in place
+/// and skip the payload-sized copy of write_framed.
+/// Precondition: frame.size() >= kFrameOverheadBytes.
+void seal_frame(std::span<std::byte> frame, std::uint64_t magic,
+                std::uint32_t version) noexcept;
+
+/// The single frame validator: checks, in order, size, frame magic, header
+/// XXH64, caller magic, exact payload length and payload XXH64. Returns Ok
+/// with `version`, `payload` (a view into `frame`) and `checksum` set, or
+/// Corrupt with a one-line reason in `error`; `keepalive` is left empty
+/// for the caller to fill.
+[[nodiscard]] FramedView open_frame(std::span<const std::byte> frame,
+                                    std::uint64_t magic);
+
+/// Frame `payload` and write it atomically to `path`.
+bool write_framed(const std::string& path, std::uint64_t magic,
+                  std::uint32_t version, std::span<const std::byte> payload,
+                  std::string* error = nullptr);
 
 struct FramedRead {
   ReadStatus status = ReadStatus::IoError;
@@ -118,33 +190,16 @@ struct FramedRead {
                                      std::uint64_t magic,
                                      bool quarantine_corrupt = true);
 
-/// Zero-copy variant of a framed read: `payload` views the verified bytes
-/// in place instead of owning a copy, and `keepalive` pins the backing
-/// storage (an mmap'd file, or the fallback heap buffer) for as long as any
-/// copy of it is held. Consumers that parse the payload into flat arrays —
-/// the spatial interval index — can alias it directly and skip the
-/// payload-sized allocation + memcpy of read_framed.
-struct FramedView {
-  ReadStatus status = ReadStatus::IoError;
-  std::uint32_t version = 0;            ///< caller format version (when Ok)
-  std::span<const std::byte> payload;   ///< verified payload bytes (when Ok)
-  /// Owns whatever `payload` points into. Keep (a copy of) this alive for
-  /// the lifetime of anything aliasing the payload.
-  std::shared_ptr<const void> keepalive;
-  bool mapped = false;                  ///< true = mmap, false = heap buffer
-  std::string error;                    ///< one-line reason (when not Ok)
-
-  [[nodiscard]] bool ok() const noexcept { return status == ReadStatus::Ok; }
-};
-
-/// Read and validate a framed file via mmap(PROT_READ, MAP_PRIVATE); the
-/// full header + XXH64 validation of read_framed runs against the mapping
-/// before a payload byte is exposed, and corrupt files are quarantined the
-/// same way. When mmap is unavailable (open/fstat/mmap failure, or
-/// GEOLOC_DURABLE_NO_MMAP=1) this degrades to the buffered read_framed with
-/// the copied payload parked in `keepalive` — callers never need a second
-/// code path. The payload starts kFrameHeaderBytes (40) into the
-/// page-aligned mapping, so 8-byte-aligned fields at 8-byte payload offsets
+/// Zero-copy variant of a framed read via mmap(PROT_READ, MAP_PRIVATE):
+/// open_frame runs against the mapping before a payload byte is exposed,
+/// and corrupt files are quarantined the same way. The mapping pins the
+/// file's inode, so an atomic replacement of `path` (rename over it) or an
+/// unlink leaves a loaded view intact. When mmap is unavailable
+/// (open/fstat/mmap failure, a file shorter than a frame, or
+/// GEOLOC_DURABLE_NO_MMAP=1) this degrades to a buffered read of the whole
+/// file parked in `keepalive` — callers never need a second code path. The
+/// payload starts kFrameHeaderBytes (40) into the page-aligned mapping (or
+/// the heap buffer), so 8-byte-aligned fields at 8-byte payload offsets
 /// stay aligned.
 [[nodiscard]] FramedView read_framed_mapped(const std::string& path,
                                             std::uint64_t magic,

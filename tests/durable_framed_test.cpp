@@ -3,8 +3,8 @@
 // corruption matrix on the frame itself — truncation at every 1/8 offset,
 // bit-flips in header / payload / trailer, torn writes, trailing garbage.
 // Every failure must come back as a clean status (and quarantine), never
-// as UB — the suite runs under the sanitize-durable and tsan-durable
-// presets.
+// as UB — the suite runs under the sanitize and tsan presets
+// (`ctest --preset sanitize -L durable`).
 #include "util/durable.h"
 
 #include <gtest/gtest.h>
@@ -150,6 +150,30 @@ TEST_F(FramedTest, FramedRoundtripPreservesPayloadAndVersion) {
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.version, 7u);
   EXPECT_EQ(r.payload, payload);
+}
+
+TEST_F(FramedTest, SealingInPlaceWritesTheSameFrameAsWriteFramed) {
+  // Writers that lay their payload out in place (the snapshot builder) and
+  // writers that hand over a finished payload produce identical files, and
+  // open_frame sees the payload where it was written.
+  const std::string p = path("sealed.bin");
+  const auto payload = test_payload(333);
+  ASSERT_TRUE(write_framed(p, kTestMagic, 9, payload));
+
+  std::vector<std::byte> frame(kFrameOverheadBytes + payload.size());
+  std::copy(payload.begin(), payload.end(),
+            frame.begin() + kFrameHeaderBytes);
+  seal_frame(frame, kTestMagic, 9);
+  EXPECT_EQ(frame, read_all(p));
+
+  const FramedView v = open_frame(frame, kTestMagic);
+  ASSERT_TRUE(v.ok()) << v.error;
+  EXPECT_EQ(v.version, 9u);
+  EXPECT_EQ(v.payload.data(), frame.data() + kFrameHeaderBytes);
+  EXPECT_TRUE(std::equal(v.payload.begin(), v.payload.end(), payload.begin(),
+                         payload.end()));
+  EXPECT_EQ(v.checksum, xxh64(payload));
+  EXPECT_EQ(open_frame(frame, kTestMagic + 1).status, ReadStatus::Corrupt);
 }
 
 TEST_F(FramedTest, EmptyPayloadIsAValidFrame) {

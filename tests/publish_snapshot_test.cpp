@@ -1,25 +1,33 @@
 // Snapshot format: write -> read roundtrip (property-style, multiple
-// seeds), determinism, and the corruption battery — bad magic, bad CRCs,
-// truncation at every region, semantic invalidity. A rejected file must
-// produce a clean error, never UB (the suite runs under the sanitize and
-// tsan presets).
+// seeds), determinism, the corruption battery — bad magic, bad checksums,
+// truncation at every region, semantic invalidity, legacy files — and the
+// lifetime of mmap-loaded snapshots. A rejected file must produce a clean
+// error, never UB (the suite runs under the sanitize and tsan presets).
 #include "publish/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "util/crc32.h"
+#include "serve/geo_service.h"
+#include "util/durable.h"
 #include "util/rng.h"
 
 namespace geoloc::publish {
 namespace {
 
 using util::Pcg32;
+namespace durable = util::durable;
+namespace fs = std::filesystem;
+
+/// Frame offset of the first entry: frame header, then the metadata block.
+constexpr std::size_t kEntries = durable::kFrameHeaderBytes + kMetaBytes;
 
 Record random_record(Pcg32& gen) {
   Record r;
@@ -61,18 +69,28 @@ SnapshotMeta test_meta() {
                       .source = "unit-test campaign"};
 }
 
-/// Re-stamp both CRCs after deliberately corrupting payload bytes, so the
+/// Re-seal the frame after deliberately corrupting payload bytes, so the
 /// semantic validators (not the checksum) are what rejects the file.
-void restamp_crcs(std::vector<std::byte>& bytes) {
-  const std::uint32_t payload =
-      util::crc32(std::span<const std::byte>(bytes).subspan(kHeaderBytes));
-  for (int i = 0; i < 4; ++i) {
-    bytes[48 + i] = static_cast<std::byte>((payload >> (8 * i)) & 0xFF);
-  }
-  const std::uint32_t header =
-      util::crc32(std::span<const std::byte>(bytes.data(), 52));
-  for (int i = 0; i < 4; ++i) {
-    bytes[52 + i] = static_cast<std::byte>((header >> (8 * i)) & 0xFF);
+void reseal(std::vector<std::byte>& bytes,
+            std::uint32_t version = kFormatVersion) {
+  durable::seal_frame(bytes, kSnapshotMagic, version);
+}
+
+/// Every decoded field of two snapshots' entries agrees, in order.
+void expect_same_entries(const Snapshot& a, const Snapshot& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const SnapshotEntry x = a.entry(i);
+    const SnapshotEntry y = b.entry(i);
+    EXPECT_EQ(x.prefix, y.prefix) << i;
+    EXPECT_EQ(x.location.lat_deg, y.location.lat_deg) << i;
+    EXPECT_EQ(x.location.lon_deg, y.location.lon_deg) << i;
+    EXPECT_EQ(x.method, y.method) << i;
+    EXPECT_EQ(x.tier, y.tier) << i;
+    EXPECT_EQ(x.confidence_radius_km, y.confidence_radius_km) << i;
+    EXPECT_EQ(x.ttl_s, y.ttl_s) << i;
+    EXPECT_EQ(x.measured_at_s, y.measured_at_s) << i;
+    EXPECT_EQ(x.provenance, y.provenance) << i;
   }
 }
 
@@ -168,10 +186,17 @@ TEST(SnapshotFormat, FileRoundtrip) {
   const auto snap = Snapshot::load(path, &error);
   ASSERT_NE(snap, nullptr) << error;
   EXPECT_EQ(snap->size(), 50u);
+  // checksum() is the frame trailer: XXH64 of everything between the
+  // frame header and the trailer.
   const auto bytes = b.build(test_meta());
-  EXPECT_EQ(snap->payload_crc(),
-            util::crc32(std::span<const std::byte>(bytes).subspan(
-                kHeaderBytes)));
+  const std::span<const std::byte> payload(
+      bytes.data() + durable::kFrameHeaderBytes,
+      bytes.size() - durable::kFrameOverheadBytes);
+  EXPECT_EQ(snap->checksum(), durable::xxh64(payload));
+  const auto in_memory = Snapshot::from_bytes(bytes);
+  ASSERT_NE(in_memory, nullptr);
+  EXPECT_EQ(in_memory->checksum(), snap->checksum());
+  expect_same_entries(*snap, *in_memory);
   std::remove(path.c_str());
 }
 
@@ -225,36 +250,50 @@ class SnapshotCorruption : public ::testing::Test {
 TEST_F(SnapshotCorruption, BadMagic) {
   auto bytes = bytes_;
   bytes[0] = static_cast<std::byte>('X');
-  expect_rejected(std::move(bytes), "magic");
+  expect_rejected(std::move(bytes), "frame magic");
+
+  // A well-formed frame of some other artifact is not a snapshot either.
+  bytes = bytes_;
+  durable::seal_frame(bytes, kSnapshotMagic ^ 1, kFormatVersion);
+  expect_rejected(std::move(bytes), "caller magic");
 }
 
 TEST_F(SnapshotCorruption, UnsupportedFormatVersion) {
   auto bytes = bytes_;
-  bytes[4] = std::byte{0x99};
-  restamp_crcs(bytes);
-  expect_rejected(std::move(bytes), "format version");
+  reseal(bytes, 0x99);
+  std::string error;
+  EXPECT_EQ(Snapshot::from_bytes(std::move(bytes), &error), nullptr);
+  EXPECT_NE(error.find("unsupported format version 153"), std::string::npos)
+      << error;
 }
 
 TEST_F(SnapshotCorruption, HeaderBitFlip) {
   auto bytes = bytes_;
   bytes[17] = static_cast<std::byte>(static_cast<std::uint8_t>(bytes[17]) ^ 1);
-  expect_rejected(std::move(bytes), "header CRC");
+  expect_rejected(std::move(bytes), "header checksum");
 }
 
 TEST_F(SnapshotCorruption, PayloadBitFlip) {
-  auto bytes = bytes_;
-  bytes[kHeaderBytes + 9] =
-      static_cast<std::byte>(static_cast<std::uint8_t>(bytes[kHeaderBytes + 9]) ^
-                             0x40);
-  expect_rejected(std::move(bytes), "payload CRC");
+  // One flip in each payload region: metadata, entries, string pool.
+  for (const std::size_t at : {durable::kFrameHeaderBytes + 3, kEntries + 9,
+                               bytes_.size() - durable::kFrameTrailerBytes -
+                                   1}) {
+    auto bytes = bytes_;
+    bytes[at] =
+        static_cast<std::byte>(static_cast<std::uint8_t>(bytes[at]) ^ 0x40);
+    expect_rejected(std::move(bytes),
+                    ("payload checksum, byte " + std::to_string(at)).c_str());
+  }
 }
 
 TEST_F(SnapshotCorruption, TruncationAtEveryRegion) {
-  // Header cut short, entries cut mid-record, pool missing its tail, and
-  // the classic one-byte-short copy.
+  // Frame header cut short, metadata cut short, entries cut mid-record,
+  // pool missing its tail, trailer gone, and the classic one-byte-short
+  // copy.
   for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{10}, kHeaderBytes - 1, kHeaderBytes + 17,
-        bytes_.size() / 2, bytes_.size() - 1}) {
+       {std::size_t{0}, std::size_t{10}, durable::kFrameHeaderBytes - 1,
+        durable::kFrameHeaderBytes + 17, kEntries + 17, bytes_.size() / 2,
+        bytes_.size() - durable::kFrameTrailerBytes, bytes_.size() - 1}) {
     auto bytes = bytes_;
     bytes.resize(keep);
     expect_rejected(std::move(bytes),
@@ -271,53 +310,57 @@ TEST_F(SnapshotCorruption, TrailingGarbage) {
 TEST_F(SnapshotCorruption, HostBitsSetInPrefix) {
   auto bytes = bytes_;
   // Entry 0's network field: force host bits below a /24 length.
-  bytes[kHeaderBytes + 0] = std::byte{0xFF};
-  bytes[kHeaderBytes + 4] = std::byte{24};
-  restamp_crcs(bytes);
+  bytes[kEntries + 0] = std::byte{0xFF};
+  bytes[kEntries + 4] = std::byte{24};
+  reseal(bytes);
   expect_rejected(std::move(bytes), "host bits");
 }
 
 TEST_F(SnapshotCorruption, PrefixLengthOutOfRange) {
   auto bytes = bytes_;
-  bytes[kHeaderBytes + 4] = std::byte{33};
-  restamp_crcs(bytes);
+  bytes[kEntries + 4] = std::byte{33};
+  reseal(bytes);
   expect_rejected(std::move(bytes), "prefix length");
 }
 
 TEST_F(SnapshotCorruption, UnknownMethodAndTier) {
   auto bytes = bytes_;
-  bytes[kHeaderBytes + 5] = std::byte{200};
-  restamp_crcs(bytes);
+  bytes[kEntries + 5] = std::byte{200};
+  reseal(bytes);
   expect_rejected(std::move(bytes), "method");
 
   bytes = bytes_;
-  bytes[kHeaderBytes + 6] = std::byte{200};
-  restamp_crcs(bytes);
+  bytes[kEntries + 6] = std::byte{200};
+  reseal(bytes);
   expect_rejected(std::move(bytes), "tier");
 }
 
 TEST_F(SnapshotCorruption, ProvenanceOutOfPoolRange) {
   auto bytes = bytes_;
-  for (int i = 0; i < 4; ++i) bytes[kHeaderBytes + 44 + i] = std::byte{0xFF};
-  restamp_crcs(bytes);
+  for (int i = 0; i < 4; ++i) bytes[kEntries + 44 + i] = std::byte{0xFF};
+  reseal(bytes);
   expect_rejected(std::move(bytes), "provenance range");
 }
 
 TEST_F(SnapshotCorruption, UnsortedEntriesRejected) {
-  ASSERT_GE(bytes_.size(), kHeaderBytes + 2 * kEntryStride);
+  ASSERT_GE(bytes_.size(), kEntries + 2 * kEntryStride);
   auto bytes = bytes_;
   // Swap the first two 48-byte entry blocks, breaking strict ordering.
   for (std::size_t i = 0; i < kEntryStride; ++i) {
-    std::swap(bytes[kHeaderBytes + i], bytes[kHeaderBytes + kEntryStride + i]);
+    std::swap(bytes[kEntries + i], bytes[kEntries + kEntryStride + i]);
   }
-  restamp_crcs(bytes);
+  reseal(bytes);
   expect_rejected(std::move(bytes), "unsorted");
 }
 
 TEST_F(SnapshotCorruption, EntryCountOverflowRejected) {
   auto bytes = bytes_;
-  for (int i = 0; i < 8; ++i) bytes[16 + i] = std::byte{0xFF};
-  restamp_crcs(bytes);
+  // Metadata offset 0: entry_count. 2^64 - 1 entries must not wrap the
+  // size arithmetic into a plausible layout.
+  for (int i = 0; i < 8; ++i) {
+    bytes[durable::kFrameHeaderBytes + i] = std::byte{0xFF};
+  }
+  reseal(bytes);
   expect_rejected(std::move(bytes), "entry count overflow");
 }
 
@@ -327,6 +370,132 @@ TEST_F(SnapshotCorruption, MissingFile) {
                            &error),
             nullptr);
   EXPECT_FALSE(error.empty());
+}
+
+// -- files: quarantine, legacy format, mmap lifetime ------------------------
+
+class SnapshotFile : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::path(::testing::TempDir()) /
+           ("geoloc-snapshot-" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  [[nodiscard]] std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(SnapshotFile, LegacyGlsnFileIsRejectedAndQuarantined) {
+  // A format-1 file: its own 64-byte "GLSN" header ahead of the entries,
+  // no durable frame. There is no compatibility reader.
+  std::vector<std::byte> legacy(64 + kEntryStride, std::byte{0});
+  legacy[0] = std::byte{'G'};
+  legacy[1] = std::byte{'L'};
+  legacy[2] = std::byte{'S'};
+  legacy[3] = std::byte{'N'};
+  legacy[4] = std::byte{1};
+  legacy[6] = std::byte{64};
+  const std::string p = path("legacy.geosnap");
+  ASSERT_TRUE(durable::atomic_write_file(p, legacy));
+
+  std::string error;
+  EXPECT_EQ(Snapshot::load(p, &error), nullptr);
+  EXPECT_NE(error.find("bad frame magic"), std::string::npos) << error;
+  EXPECT_FALSE(fs::exists(p));
+  EXPECT_TRUE(fs::exists(durable::quarantine_path_for(p)));
+
+  // Served through GeoService, the legacy file leaves the current version
+  // in place.
+  SnapshotBuilder b;
+  b.add(random_records(21, 30));
+  const auto serving = Snapshot::from_bytes(b.build(test_meta()));
+  ASSERT_NE(serving, nullptr);
+  serve::GeoService service(serving);
+  ASSERT_TRUE(durable::atomic_write_file(p, legacy));
+  EXPECT_FALSE(service.publish_from_file(p, &error));
+  EXPECT_TRUE(fs::exists(durable::quarantine_path_for(p)));
+  EXPECT_EQ(service.current(), serving);
+}
+
+TEST_F(SnapshotFile, FramedButSemanticallyInvalidFileIsQuarantined) {
+  auto bytes = build_bytes(random_records(3, 40), test_meta());
+  ASSERT_GE(bytes.size(), kEntries + 2 * kEntryStride);
+  for (std::size_t i = 0; i < kEntryStride; ++i) {
+    std::swap(bytes[kEntries + i], bytes[kEntries + kEntryStride + i]);
+  }
+  reseal(bytes);  // the frame is intact; only the content is wrong
+  const std::string p = path("unsorted.geosnap");
+
+  ASSERT_TRUE(durable::atomic_write_file(p, bytes));
+  std::string error;
+  EXPECT_EQ(Snapshot::load(p, &error, /*quarantine_corrupt=*/false), nullptr);
+  EXPECT_NE(error.find("not strictly sorted"), std::string::npos) << error;
+  EXPECT_TRUE(fs::exists(p)) << "quarantine was declined";
+
+  EXPECT_EQ(Snapshot::load(p, &error), nullptr);
+  EXPECT_FALSE(fs::exists(p));
+  EXPECT_TRUE(fs::exists(durable::quarantine_path_for(p)));
+}
+
+TEST_F(SnapshotFile, MappedSnapshotOutlivesReplacementAndUnlink) {
+  const auto v1_records = random_records(31, 120);
+  SnapshotBuilder v1;
+  v1.add(v1_records);
+  const std::string p = path("served.geosnap");
+  std::string error;
+  ASSERT_TRUE(v1.write_file(p, test_meta(), &error)) << error;
+  const auto loaded = Snapshot::load(p, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+
+  // Publish the next version over the same path, then remove it entirely:
+  // the loaded snapshot keeps answering from its own mapping.
+  SnapshotBuilder v2;
+  v2.add(random_records(32, 80));
+  SnapshotMeta meta2 = test_meta();
+  meta2.dataset_version = 8;
+  ASSERT_TRUE(v2.write_file(p, meta2, &error)) << error;
+  ASSERT_TRUE(fs::remove(p));
+
+  const auto expected = Snapshot::from_bytes(v1.build(test_meta()));
+  ASSERT_NE(expected, nullptr);
+  EXPECT_EQ(loaded->dataset_version(), test_meta().dataset_version);
+  EXPECT_EQ(loaded->source(), test_meta().source);
+  EXPECT_EQ(loaded->checksum(), expected->checksum());
+  expect_same_entries(*loaded, *expected);
+  for (std::size_t i = 0; i < loaded->size(); i += 7) {
+    const auto hit = loaded->find(loaded->entry(i).prefix.network());
+    ASSERT_TRUE(hit.has_value());
+  }
+}
+
+TEST_F(SnapshotFile, BufferedLoadMatchesMappedLoad) {
+  SnapshotBuilder b;
+  b.add(random_records(41, 150));
+  const std::string p = path("both.geosnap");
+  std::string error;
+  ASSERT_TRUE(b.write_file(p, test_meta(), &error)) << error;
+
+  const auto mapped = Snapshot::load(p, &error);
+  ASSERT_NE(mapped, nullptr) << error;
+  ::setenv("GEOLOC_DURABLE_NO_MMAP", "1", 1);
+  const auto buffered = Snapshot::load(p, &error);
+  ::unsetenv("GEOLOC_DURABLE_NO_MMAP");
+  ASSERT_NE(buffered, nullptr) << error;
+
+  EXPECT_EQ(buffered->dataset_version(), mapped->dataset_version());
+  EXPECT_EQ(buffered->created_at_s(), mapped->created_at_s());
+  EXPECT_EQ(buffered->source(), mapped->source());
+  EXPECT_EQ(buffered->checksum(), mapped->checksum());
+  expect_same_entries(*buffered, *mapped);
 }
 
 // -- staleness boundary semantics -------------------------------------------

@@ -5,7 +5,7 @@
 // entry latitude encodes the dataset version, so a torn swap is instantly
 // visible), a corrupt file never reaches readers (publish_from_file fails,
 // quarantines, and the previous version keeps serving), and the whole dance
-// is TSan-clean (the tsan-serve preset runs this file).
+// is TSan-clean (`ctest --preset tsan -L serve` runs this file).
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -4,8 +4,8 @@
 // graceful drain, and lookups racing hot snapshot swaps. The invariant
 // throughout: every hostile byte stream produces a typed error reply or a
 // clean close — never a crash, a hang, or a torn answer — and the suite is
-// run under ASan/UBSan and TSan via the sanitize-server / tsan-server
-// presets (ctest label "server").
+// run under ASan/UBSan and TSan via the sanitize and tsan presets
+// (`ctest --preset sanitize -L server`).
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
