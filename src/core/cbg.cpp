@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "geo/constants.h"
+#include "obs/metrics.h"
 
 namespace geoloc::core {
 
@@ -40,6 +41,9 @@ std::vector<geo::Disk> constraint_disks(
 
 CbgResult cbg_geolocate(std::span<const VpObservation> observations,
                         const CbgConfig& config) {
+  static obs::Counter& calls =
+      obs::Registry::instance().counter("core.cbg_calls");
+  calls.add();
   CbgResult result;
   if (observations.empty()) return result;
 

@@ -47,6 +47,13 @@ GeoPoint destination(const GeoPoint& origin, double bearing_deg,
   return GeoPoint{clamp_lat(rad_to_deg(lat2)), normalize_lon(rad_to_deg(lon2))};
 }
 
+Vec3 unit_vector(const GeoPoint& p) noexcept {
+  const double lat = deg_to_rad(p.lat_deg);
+  const double lon = deg_to_rad(p.lon_deg);
+  const double cos_lat = std::cos(lat);
+  return {cos_lat * std::cos(lon), cos_lat * std::sin(lon), std::sin(lat)};
+}
+
 GeoPoint midpoint(const GeoPoint& a, const GeoPoint& b) noexcept {
   const GeoPoint pts[] = {a, b};
   return centroid(pts);

@@ -23,6 +23,21 @@ double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b) noexcept;
 GeoPoint destination(const GeoPoint& origin, double bearing_deg,
                      double distance_km) noexcept;
 
+/// A point of 3-D space; on the unit sphere, the Earth-centred direction
+/// of a GeoPoint (x towards lon 0 on the equator, z towards the north pole).
+struct Vec3 {
+  double x = 0.0;
+  double y = 0.0;
+  double z = 0.0;
+};
+
+[[nodiscard]] constexpr double dot(const Vec3& a, const Vec3& b) noexcept {
+  return a.x * b.x + a.y * b.y + a.z * b.z;
+}
+
+/// Unit vector of `p`: {cos(lat)cos(lon), cos(lat)sin(lon), sin(lat)}.
+Vec3 unit_vector(const GeoPoint& p) noexcept;
+
 /// Geographic midpoint of two points along the great circle joining them.
 GeoPoint midpoint(const GeoPoint& a, const GeoPoint& b) noexcept;
 

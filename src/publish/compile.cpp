@@ -4,9 +4,11 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/million_scale.h"
 #include "core/street_level.h"
+#include "util/parallel.h"
 
 namespace geoloc::publish {
 
@@ -137,23 +139,40 @@ std::vector<Record> refresh_entries(const scenario::Scenario& s,
     by_target[m.target].push_back(core::VpObservation{
         s.world().host(m.vp).reported_location, *m.min_rtt_ms});
   }
+  const std::vector<std::pair<sim::HostId, std::vector<core::VpObservation>>>
+      groups(std::make_move_iterator(by_target.begin()),
+             std::make_move_iterator(by_target.end()));
+
+  // One CBG solve per target on the pool; each writes only its own slot,
+  // so the records are the same for any worker count.
+  std::vector<std::optional<Record>> solved =
+      util::parallel_map<std::optional<Record>>(
+          groups.size(), [&](std::size_t i) -> std::optional<Record> {
+            const auto& [target, observations] = groups[i];
+            const core::CbgResult cbg =
+                core::cbg_geolocate(observations, options.cbg);
+            if (cbg.verdict == core::CbgVerdict::Unlocatable) {
+              return std::nullopt;  // keep the old entry
+            }
+            Record r;
+            r.prefix = net::slash24_of(s.world().host(target).addr);
+            r.method = Method::Cbg;
+            r.tier = cbg.verdict;
+            r.location = cbg.estimate;
+            r.confidence_radius_km =
+                static_cast<float>(cbg.confidence_radius_km);
+            r.measured_at_s = options.measured_at_s;
+            r.ttl_s = ttl_for(r.tier, options);
+            r.provenance =
+                "cbg/remeasured:obs=" + std::to_string(observations.size()) +
+                ",disks=" + std::to_string(cbg.surviving_constraints);
+            return r;
+          });
 
   std::vector<Record> out;
-  out.reserve(by_target.size());
-  for (const auto& [target, observations] : by_target) {
-    const core::CbgResult cbg = core::cbg_geolocate(observations, options.cbg);
-    Record r;
-    r.prefix = net::slash24_of(s.world().host(target).addr);
-    r.method = Method::Cbg;
-    r.tier = cbg.verdict;
-    r.location = cbg.estimate;
-    r.confidence_radius_km = static_cast<float>(cbg.confidence_radius_km);
-    r.measured_at_s = options.measured_at_s;
-    r.ttl_s = ttl_for(r.tier, options);
-    r.provenance = "cbg/remeasured:obs=" + std::to_string(observations.size()) +
-                   ",disks=" + std::to_string(cbg.surviving_constraints);
-    if (r.tier == core::CbgVerdict::Unlocatable) continue;  // keep old entry
-    out.push_back(std::move(r));
+  out.reserve(solved.size());
+  for (std::optional<Record>& r : solved) {
+    if (r) out.push_back(std::move(*r));
   }
   return out;
 }

@@ -48,8 +48,11 @@ std::vector<Record> compile_entries(const scenario::Scenario& s,
 /// Re-compile records for exactly the targets a re-measurement campaign
 /// reached: group the report's successful pings by target, run CBG over
 /// each group, stamp `options.measured_at_s`. Targets with no usable
-/// measurement in the report are skipped (their old entry stays until the
-/// next campaign). Used by the serving layer's staleness loop.
+/// measurement in the report, or whose CBG comes back Unlocatable, are
+/// skipped (their old entry stays until the next campaign). The groups
+/// are solved on the util::parallel pool and returned in target order,
+/// identical for any worker count. Used by the serving layer's staleness
+/// loop.
 std::vector<Record> refresh_entries(const scenario::Scenario& s,
                                     const atlas::CampaignReport& report,
                                     const CompileOptions& options = {});

@@ -173,14 +173,6 @@ std::vector<CellId> cover_disk(const geo::Disk& disk,
   return cover(DiskQuery{&disk}, options);
 }
 
-bool cell_may_intersect_disk(const CellId& cell, const geo::Disk& disk) {
-  return DiskQuery{&disk}.may_intersect(cell);
-}
-
-bool cell_contained_in_disk(const CellId& cell, const geo::Disk& disk) {
-  return DiskQuery{&disk}.contained(cell);
-}
-
 std::vector<CellId> cover_rect(const LatLonRect& rect,
                                const CoveringOptions& options) {
   static obs::Counter& calls =

@@ -69,19 +69,4 @@ struct LatLonRect {
 [[nodiscard]] std::vector<CellId> cover_rect(const LatLonRect& rect,
                                              const CoveringOptions& options = {});
 
-/// The covering's conservative disk/cell predicates, exposed for callers
-/// that classify *their own* cells against constraint disks (the CBG
-/// region sampler routes its polar grid through these; geo/region.cpp).
-///
-/// cell_may_intersect_disk is false only when no point of the cell can lie
-/// inside the disk (triangle inequality: distance from the disk centre to
-/// the cell centre minus a circumradius upper bound exceeds the disk
-/// radius) — a sound proof of infeasibility for every point of the cell.
-[[nodiscard]] bool cell_may_intersect_disk(const CellId& cell,
-                                           const geo::Disk& disk);
-/// True when every point of the cell provably lies inside the disk, so a
-/// per-point containment test against that disk is redundant.
-[[nodiscard]] bool cell_contained_in_disk(const CellId& cell,
-                                          const geo::Disk& disk);
-
 }  // namespace geoloc::spatial

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "geo/geodesy.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace geoloc::core {
@@ -47,6 +48,15 @@ TEST(ConstraintDisks, BudgetKeepsSmallest) {
 
 TEST(Cbg, EmptyObservationsFail) {
   EXPECT_FALSE(cbg_geolocate({}).ok);
+}
+
+TEST(Cbg, CountsEveryCall) {
+  obs::Counter& calls = obs::Registry::instance().counter("core.cbg_calls");
+  const std::uint64_t before = calls.value();
+  (void)cbg_geolocate({});
+  const VpObservation o = observe(kParis, kLyon);
+  (void)cbg_geolocate({&o, 1});
+  EXPECT_EQ(calls.value() - before, 2u);
 }
 
 TEST(Cbg, SingleVpEstimatesAtTheVp) {

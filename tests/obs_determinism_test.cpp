@@ -2,8 +2,9 @@
 // tracing on or off, at any thread count, must not move a single byte of
 // any experiment output. Metrics writers only touch registry-owned
 // atomics and spans only record wall durations, so a CampaignReport, an
-// eval sweep and a published snapshot must be bit-identical across
-// {trace off, trace on} x {1 thread, 8 threads}.
+// eval sweep, the CBG solves, a streaming campaign and a published
+// snapshot must be bit-identical across {trace off, trace on} x
+// {1 thread, 8 threads}.
 //
 // Fresh scenarios (disk cache disabled, no web ecosystem) per run, same
 // as parallel_determinism_test.cpp, so nothing leaks between settings.
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "atlas/executor.h"
+#include "core/cbg.h"
+#include "core/streaming_campaign.h"
 #include "eval/experiments.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,6 +26,7 @@
 #include "publish/snapshot.h"
 #include "scenario/presets.h"
 #include "scenario/scenario.h"
+#include "scenario/tile_source.h"
 #include "util/parallel.h"
 
 namespace geoloc {
@@ -140,6 +144,72 @@ TEST(ObsDeterminismTest, SnapshotBytesInvariantUnderTracing) {
   EXPECT_EQ(baseline, build_bytes(/*trace=*/true, /*threads=*/1));
   EXPECT_EQ(baseline, build_bytes(/*trace=*/true, /*threads=*/8));
   EXPECT_EQ(baseline, build_bytes(/*trace=*/false, /*threads=*/8));
+}
+
+TEST(ObsDeterminismTest, CbgSolvesInvariantUnderTracing) {
+  // Every target solved from its full column of VP observations, fanned
+  // out on the pool (as refresh_entries does): the CBG counters tick on
+  // every worker, the results must not move.
+  const scenario::Scenario s(fresh_config());
+  const scenario::RttMatrix& rtts = s.target_rtts();
+  std::vector<std::vector<core::VpObservation>> columns(s.targets().size());
+  for (std::size_t col = 0; col < columns.size(); ++col) {
+    for (std::size_t row = 0; row < s.vps().size(); ++row) {
+      const float rtt = rtts.at(row, col);
+      if (scenario::RttMatrix::is_missing(rtt)) continue;
+      columns[col].push_back(core::VpObservation{
+          s.world().host(s.vps()[row]).reported_location, rtt});
+    }
+  }
+  const auto run = [&](bool trace, unsigned threads) {
+    return with_obs(trace, threads, [&] {
+      return util::parallel_map<core::CbgResult>(
+          columns.size(),
+          [&](std::size_t col) { return core::cbg_geolocate(columns[col]); });
+    });
+  };
+  const auto baseline = run(/*trace=*/false, /*threads=*/1);
+  for (const auto& [trace, threads] :
+       {std::pair{true, 1u}, std::pair{true, 8u}, std::pair{false, 8u}}) {
+    const auto other = run(trace, threads);
+    ASSERT_EQ(baseline.size(), other.size());
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_EQ(baseline[i].verdict, other[i].verdict);
+      EXPECT_EQ(baseline[i].estimate, other[i].estimate);
+      EXPECT_EQ(baseline[i].confidence_radius_km,
+                other[i].confidence_radius_km);
+      EXPECT_EQ(baseline[i].region.radius_km, other[i].region.radius_km);
+      EXPECT_EQ(baseline[i].region.area_km2, other[i].region.area_km2);
+      EXPECT_EQ(baseline[i].region.samples, other[i].region.samples);
+    }
+  }
+}
+
+TEST(ObsDeterminismTest, StreamingCampaignInvariantUnderTracing) {
+  const scenario::Scenario s(fresh_config());
+  const auto run = [&](bool trace, unsigned threads) {
+    return with_obs(trace, threads, [&] {
+      const scenario::TileShape shape{16, 64};
+      scenario::RttTileSource reps =
+          scenario::RttTileSource::for_representatives(s, shape);
+      scenario::RttTileSource targets =
+          scenario::RttTileSource::for_targets(s, shape);
+      return core::run_streaming_campaign(reps, targets);
+    });
+  };
+  const core::StreamingCampaignOutcome baseline =
+      run(/*trace=*/false, /*threads=*/1);
+  ASSERT_GT(baseline.located, 0u);
+  for (const auto& [trace, threads] :
+       {std::pair{true, 1u}, std::pair{true, 8u}, std::pair{false, 8u}}) {
+    const core::StreamingCampaignOutcome other = run(trace, threads);
+    EXPECT_EQ(baseline.targets, other.targets);
+    EXPECT_EQ(baseline.located, other.located);
+    EXPECT_EQ(baseline.failed, other.failed);
+    EXPECT_EQ(baseline.errors_km, other.errors_km);
+    EXPECT_EQ(baseline.rep_cells, other.rep_cells);
+    EXPECT_EQ(baseline.target_cells, other.target_cells);
+  }
 }
 
 }  // namespace
