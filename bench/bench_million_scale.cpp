@@ -278,12 +278,14 @@ int main() {
   std::printf(
       "campaign: %.1f s (%.0f targets/s), located %zu / failed %zu, "
       "median error %.1f km\n"
-      "cells: %llu rep + %llu final-ping (dense would need %.0f)\n"
+      "cells: %llu rep (%llu synthesised) + %llu final-ping (dense would "
+      "need %.0f)\n"
       "rep tile cache: %llu hits / %llu misses (%.0f%% hit rate), "
       "%llu evictions, budget %zu tiles, peak resident %.1f MiB\n"
       "peak RSS %zu MB (ceiling %zu MB)\n",
       wall_s, tiled_targets_per_s, outcome.located, outcome.failed, median_km,
       static_cast<unsigned long long>(outcome.rep_cells),
+      static_cast<unsigned long long>(rs.synthesised_cells),
       static_cast<unsigned long long>(outcome.target_cells),
       static_cast<double>(n_vps) *
           static_cast<double>(n_targets + n24),
@@ -305,6 +307,7 @@ int main() {
        {"failed", static_cast<double>(outcome.failed)},
        {"median_error_km", median_km},
        {"rep_cells", static_cast<double>(outcome.rep_cells)},
+       {"rep_synthesised_cells", static_cast<double>(rs.synthesised_cells)},
        {"target_cells", static_cast<double>(outcome.target_cells)},
        {"tile_budget", static_cast<double>(reps.budget_tiles())},
        {"rep_tile_hits", static_cast<double>(rs.hits)},

@@ -1,6 +1,7 @@
 #include "core/streaming_campaign.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -10,9 +11,23 @@
 
 namespace geoloc::core {
 
+namespace {
+
+// Rows per threshold refresh of the bounded sweep. A property of the
+// selection, not of the tile shape: thresholds tighten every 32 rows
+// whatever the VP block is, so a campaign with a single VP block (few VPs)
+// still prunes after its first stride.
+constexpr std::size_t kThresholdStride = 32;
+
+}  // namespace
+
 std::vector<std::vector<std::size_t>> streamed_select_block(
     scenario::RttTileSource& reps, std::size_t target_block, int k,
     std::span<const sim::HostId> col_self) {
+  if (!col_self.empty() && col_self.size() < reps.cols()) {
+    throw std::invalid_argument(
+        "streamed_select_block: col_self must name every rep column");
+  }
   const std::size_t col_begin = target_block * reps.shape().target_block;
   const std::size_t col_end =
       std::min(reps.cols(), col_begin + reps.shape().target_block);
@@ -23,14 +38,31 @@ std::vector<std::vector<std::size_t>> streamed_select_block(
   // Per column, a max-heap of the k smallest (rtt, row) pairs. The pair
   // ordering is the one the dense partial_sort uses, and the set of k
   // smallest pairs is independent of scan order, so the sorted heap equals
-  // the dense selection exactly — while only ever holding one VP-block
-  // tile plus k pairs per column.
+  // the dense selection exactly.
+  //
+  // Rows arrive one stride at a time from the bounded sweep, which skips a
+  // cell whose RTT floor is >= its column's threshold: the heap's largest
+  // RTT once the heap is full. The thresholds are taken before the stride
+  // and the heaps then update serially in row order, so a threshold only
+  // falls while the stride merges; a skipped cell is at least the
+  // snapshot, and on a tie its row is later than every row in the heap, so
+  // it loses the (rtt, row) comparison anyway. The selection is therefore
+  // the full sweep's at any thread count, tile shape or stride.
   std::vector<std::vector<std::pair<float, std::size_t>>> best(n_cols);
-  for (std::size_t vb = 0; vb < reps.vp_blocks(); ++vb) {
-    const auto& t = reps.tile(vb, target_block);
-    for (std::size_t rr = 0; rr < t.rows(); ++rr) {
-      const std::size_t r = t.vp_begin + rr;
-      const float* row = t.rtt.data() + rr * t.cols();
+  std::vector<std::vector<std::size_t>> out(n_cols);
+  if (kk == 0) return out;
+  std::vector<float> threshold(n_cols);
+  std::vector<float> cells(kThresholdStride * n_cols);
+  for (std::size_t r0 = 0; r0 < reps.rows(); r0 += kThresholdStride) {
+    const std::size_t r1 = std::min(reps.rows(), r0 + kThresholdStride);
+    for (std::size_t cc = 0; cc < n_cols; ++cc) {
+      threshold[cc] = best[cc].size() < kk
+                          ? std::numeric_limits<float>::infinity()
+                          : best[cc].front().first;
+    }
+    reps.sweep_below(r0, r1, target_block, threshold, cells.data());
+    for (std::size_t r = r0; r < r1; ++r) {
+      const float* row = cells.data() + (r - r0) * n_cols;
       for (std::size_t cc = 0; cc < n_cols; ++cc) {
         const float rtt = row[cc];
         if (scenario::RttMatrix::is_missing(rtt)) continue;
@@ -40,7 +72,7 @@ std::vector<std::vector<std::size_t>> streamed_select_block(
         if (heap.size() < kk) {
           heap.push_back(cand);
           std::push_heap(heap.begin(), heap.end());
-        } else if (kk != 0 && cand < heap.front()) {
+        } else if (cand < heap.front()) {
           std::pop_heap(heap.begin(), heap.end());
           heap.back() = cand;
           std::push_heap(heap.begin(), heap.end());
@@ -49,7 +81,6 @@ std::vector<std::vector<std::size_t>> streamed_select_block(
     }
   }
 
-  std::vector<std::vector<std::size_t>> out(n_cols);
   for (std::size_t cc = 0; cc < n_cols; ++cc) {
     std::sort(best[cc].begin(), best[cc].end());
     out[cc].reserve(best[cc].size());
@@ -74,6 +105,17 @@ StreamingCampaignOutcome run_streaming_campaign(
   if (!identity && target_to_rep_col.size() != n_targets) {
     throw std::invalid_argument(
         "run_streaming_campaign: target_to_rep_col must cover every target");
+  }
+  if (std::any_of(target_to_rep_col.begin(), target_to_rep_col.end(),
+                  [&](std::uint32_t c) { return c >= reps.cols(); })) {
+    throw std::invalid_argument(
+        "run_streaming_campaign: target_to_rep_col names a column past "
+        "reps.cols()");
+  }
+  if (tc.group != 1) {
+    throw std::invalid_argument(
+        "run_streaming_campaign: the targets campaign must ping one host "
+        "per column (group 1)");
   }
 
   StreamingCampaignOutcome out;
@@ -108,6 +150,9 @@ StreamingCampaignOutcome run_streaming_campaign(
         identity ? std::span<const sim::HostId>(tc.dsts)
                  : std::span<const sim::HostId>{});
     const std::size_t col_begin = tb * reps.shape().target_block;
+    // The platform pings every rep column of the block from every VP;
+    // synthesis skips what selection cannot use, the measurement does not.
+    out.rep_cells += reps.rows() * selection.size();
     // Final pings + CBG per target: each column is a pure function of its
     // selection and the sparse cells it computes, so the block maps in
     // parallel and folds in column order (bit-identical at any thread
@@ -146,7 +191,6 @@ StreamingCampaignOutcome run_streaming_campaign(
       }
     }
   }
-  out.rep_cells = reps.stats().generated_cells;
   out.rep_stats = reps.stats();
   out.target_stats = targets.stats();
   return out;

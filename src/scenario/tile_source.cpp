@@ -1,10 +1,14 @@
 #include "scenario/tile_source.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "geo/constants.h"
+#include "geo/geodesy_batch.h"
 #include "obs/metrics.h"
 #include "scenario/scenario.h"
 #include "util/env.h"
@@ -19,6 +23,7 @@ struct TileMetrics {
   obs::Counter& misses;
   obs::Counter& evictions;
   obs::Counter& cells;
+  obs::Counter& synthesised;
 };
 
 TileMetrics& tile_metrics() {
@@ -26,11 +31,24 @@ TileMetrics& tile_metrics() {
   static TileMetrics m{reg.counter("scenario.rtt_tiles.hits"),
                        reg.counter("scenario.rtt_tiles.misses"),
                        reg.counter("scenario.rtt_tiles.evictions"),
-                       reg.counter("scenario.rtt_tiles.cells")};
+                       reg.counter("scenario.rtt_tiles.cells"),
+                       reg.counter("scenario.rtt_tiles.synthesised")};
   return m;
 }
 
 constexpr std::size_t kMaxColumns = std::size_t{1} << 20;
+
+// The bounded sweep's dot-product prefilter turns a threshold into a
+// maximum angle and widens it by a relative slack and an absolute band
+// before it prunes a pair without the haversine. The band dwarfs every
+// rounding error of the test: a dot product of unit vectors is off by a few
+// 1e-16, which near the flat ends of cos is an angle of at most ~3e-8 rad,
+// and the floor and its inversion are off by a few ulps, which the slack
+// covers relative to the angle. The band costs a pair at most 6.4 km of
+// reach, so only pairs within that of the limit take the exact floor
+// needlessly.
+constexpr double kPrefilterSlack = 1e-9;
+constexpr double kPrefilterBand = 1e-6;  // rad
 
 }  // namespace
 
@@ -176,6 +194,115 @@ void RttTileSource::generate(std::size_t vp_block, std::size_t target_block,
       /*grain=*/1);
   stats_.generated_cells += tile_rows * tile_cols;
   tile_metrics().cells.add(static_cast<std::int64_t>(tile_rows * tile_cols));
+}
+
+void RttTileSource::sweep_below(std::size_t vp_begin, std::size_t vp_end,
+                                std::size_t target_block,
+                                std::span<const float> threshold,
+                                float* out) const {
+  const std::size_t g = campaign_.group;
+  const std::size_t c_begin = target_block * shape_.target_block;
+  const std::size_t n_cols =
+      std::min(cols(), c_begin + shape_.target_block) - c_begin;
+  const sim::LatencyModel& latency = *campaign_.latency;
+  const sim::LatencyModel::HostSoA& vp = vp_soa_;
+  const sim::LatencyModel::HostSoA& dst = dst_soa_;
+
+  // Stage 1 set-up. floor >= threshold holds for every row of the sweep
+  // beyond the reach the sweep's smallest VP last mile allows, so per
+  // (column, destination) a pair whose unit vectors' dot product is below
+  // cos(reach angle + margins) is pruned without its haversine. An
+  // unresponsive destination never keeps a cell (+inf prunes every pair);
+  // an infinite threshold or a reach past the antipode prunes none (-inf).
+  double lm_min = std::numeric_limits<double>::infinity();
+  for (std::size_t r = vp_begin; r < vp_end; ++r) {
+    lm_min = std::min(lm_min, vp.last_mile_ms[r]);
+  }
+  std::vector<double> limit(n_cols * g);
+  for (std::size_t cc = 0; cc < n_cols; ++cc) {
+    for (std::size_t k = 0; k < g; ++k) {
+      const std::size_t d = (c_begin + cc) * g + k;
+      double& lim = limit[cc * g + k];
+      if (dst.responsive[d] == 0) {
+        lim = std::numeric_limits<double>::infinity();
+        continue;
+      }
+      const double reach = latency.floor_reach_km(
+          threshold[cc], lm_min + dst.last_mile_ms[d]);
+      const double angle =
+          reach / geo::kEarthRadiusKm * (1.0 + kPrefilterSlack) +
+          kPrefilterBand;
+      lim = angle < geo::kPi ? std::cos(angle)
+                             : -std::numeric_limits<double>::infinity();
+    }
+  }
+
+  using Cache = std::optional<sim::LatencyModel::CityPairCache>;
+  const auto sweep_row = [&](std::size_t rr, Cache& cache) -> std::size_t {
+    const std::size_t r = vp_begin + rr;
+    float* row_out = out + rr * n_cols;
+    const double vx = vp.points.x[r];
+    const double vy = vp.points.y[r];
+    const double vz = vp.points.z[r];
+    std::size_t made = 0;
+    for (std::size_t cc = 0; cc < n_cols; ++cc) {
+      row_out[cc] = std::numeric_limits<float>::quiet_NaN();
+      // Stages 1 and 2: the cell is at least the smallest floor of its
+      // responsive destinations, so it survives when one floor is below
+      // the threshold.
+      double dist[3] = {0.0, 0.0, 0.0};
+      bool have[3] = {false, false, false};
+      bool alive = false;
+      for (std::size_t k = 0; k < g; ++k) {
+        const std::size_t d = (c_begin + cc) * g + k;
+        if (vx * dst.points.x[d] + vy * dst.points.y[d] +
+                vz * dst.points.z[d] <
+            limit[cc * g + k]) {
+          continue;
+        }
+        geo::distance_km_batch(vp.location[r], dst.points, d, d + 1,
+                               &dist[k]);
+        have[k] = true;
+        if (latency.rtt_floor_ms(vp, r, dst, d, dist[k]) < threshold[cc]) {
+          alive = true;
+        }
+      }
+      if (!alive) continue;
+      // Stage 3: the exact cell, from the distances already in hand.
+      double base[3] = {0.0, 0.0, 0.0};
+      for (std::size_t k = 0; k < g; ++k) {
+        const std::size_t d = (c_begin + cc) * g + k;
+        if (dst.responsive[d] == 0) continue;  // its base is never read
+        if (!have[k]) {
+          geo::distance_km_batch(vp.location[r], dst.points, d, d + 1,
+                                 &dist[k]);
+        }
+        if (!cache) cache.emplace();
+        base[k] = latency.base_rtt_ms_at(vp, r, dst, d, dist[k], *cache);
+      }
+      row_out[cc] = synthesise_cell(r, c_begin + cc, base);
+      ++made;
+    }
+    return made;
+  };
+  // Rows go to the pool in chunks of at least ~4 k pairs, so a sweep over
+  // a few columns does not pay a dispatch per row. Each chunk creates its
+  // scratch (the city-pair cache) only if one of its rows synthesises.
+  const std::size_t n = vp_end - vp_begin;
+  const std::size_t grain =
+      std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, n_cols * g));
+  std::vector<std::size_t> made((n + grain - 1) / grain, 0);
+  util::global_pool().run_chunks(
+      n, grain, [&](std::size_t begin, std::size_t end) {
+        Cache cache;
+        for (std::size_t rr = begin; rr < end; ++rr) {
+          made[begin / grain] += sweep_row(rr, cache);
+        }
+      });
+  std::size_t total = 0;
+  for (const std::size_t m : made) total += m;
+  stats_.synthesised_cells += total;
+  tile_metrics().synthesised.add(static_cast<std::int64_t>(total));
 }
 
 void RttTileSource::note_resident(std::size_t bytes) const {

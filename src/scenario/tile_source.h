@@ -9,7 +9,9 @@
 // GEOLOC_RTT_TILE_BUDGET tiles in a bounded LRU cache, and evicts
 // deterministically in least-recently-used order. Campaign cost then
 // scales with the measurements a consumer actually touches, not with
-// world size².
+// world size². Streamed selection reads no tiles at all: sweep_below
+// synthesises only the cells whose RTT floor can still beat a column's
+// k-th best.
 //
 // Determinism and equivalence: every cell's randomness is the same pure
 // function of (row, column) the dense loops use —
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -81,7 +84,10 @@ class RttTileSource {
     std::uint64_t hits = 0;        ///< tile() served from the cache
     std::uint64_t misses = 0;      ///< tiles generated on demand
     std::uint64_t evictions = 0;   ///< tiles discarded by the LRU bound
-    std::uint64_t generated_cells = 0;
+    std::uint64_t generated_cells = 0;  ///< cells of generated tiles
+    /// Cells the bounded sweep synthesised; the rest of its sweep was
+    /// pruned by the RTT floor.
+    std::uint64_t synthesised_cells = 0;
     std::size_t resident_tiles = 0;
     std::size_t resident_bytes = 0;       ///< tile payload bytes held now
     std::size_t peak_resident_bytes = 0;  ///< high-water mark incl. scratch
@@ -126,6 +132,19 @@ class RttTileSource {
   /// Cell (r, c) computed directly, touching neither the cache nor other
   /// cells — the sparse consumer's path (k selected VPs ping one target).
   [[nodiscard]] float cell(std::size_t r, std::size_t c) const;
+
+  /// The bounded sweep behind streamed selection (DESIGN.md §14): the
+  /// cells of VP rows [vp_begin, vp_end) × target block `target_block`,
+  /// row-major into `out` (rows × block columns). A cell is synthesised —
+  /// with exactly the bytes tile() holds there — unless the RTT floor of
+  /// every responsive destination in its group is >= threshold[cc]: such a
+  /// cell is at least its threshold, and reads NaN like a missing one. Rows
+  /// run on the pool; the result is the same at any worker count. The
+  /// cells synthesised are added to Stats::synthesised_cells and
+  /// scenario.rtt_tiles.synthesised.
+  void sweep_below(std::size_t vp_begin, std::size_t vp_end,
+                   std::size_t target_block, std::span<const float> threshold,
+                   float* out) const;
 
   /// Assemble the full dense matrix by sweeping tiles in row-major block
   /// order with a single scratch tile (generate → copy → discard); the

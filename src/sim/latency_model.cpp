@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "geo/constants.h"
 #include "geo/geodesy.h"
@@ -167,6 +168,43 @@ LatencyModel::HostSoA LatencyModel::host_soa(
   return soa;
 }
 
+double LatencyModel::base_rtt_ms_at(const HostSoA& src, std::size_t i,
+                                    const HostSoA& dst, std::size_t j,
+                                    double d, CityPairCache& cache) const {
+  // The scalar base_rtt_ms / pair_inflation expressions term for term and
+  // in the same association — that is what makes the tile pipeline
+  // byte-identical to the dense one, and what rtt_floor_ms mirrors.
+  const double prop = geo::distance_to_min_rtt_ms(d);
+  const std::uint64_t city_a = src.city[i];
+  const std::uint64_t city_b = dst.city[j];
+  const std::uint64_t clo = std::min(city_a, city_b);
+  const std::uint64_t chi = std::max(city_a, city_b);
+  const auto [it, fresh] = cache.try_emplace((clo << 32) | chi);
+  if (fresh) {
+    auto cigen = keyed_gen(seed_, kInflationLabel, clo, chi);
+    it->second.inflation_city =
+        cigen.lognormal(config_.inflation_mu, config_.inflation_sigma);
+    auto cogen = keyed_gen(seed_, kOverheadCityLabel, clo, chi);
+    it->second.overhead_city = cogen.exponential(config_.overhead_mean_ms);
+  }
+  const std::uint64_t host_a = src.ids[i];
+  const std::uint64_t host_b = dst.ids[j];
+  const std::uint64_t hlo = std::min(host_a, host_b);
+  const std::uint64_t hhi = std::max(host_a, host_b);
+  auto hgen = keyed_gen(seed_, kInflationHostLabel, hlo, hhi);
+  const double raw = it->second.inflation_city *
+                     hgen.lognormal(0.0, config_.inflation_host_sigma);
+  const double short_boost =
+      1.0 + config_.short_path_boost_km / (d + config_.short_path_floor_km);
+  const double inflation = std::max(config_.min_inflation, raw * short_boost);
+  auto lgen = keyed_gen(seed_, kOverheadLocalLabel, hlo, hhi);
+  const double dist_scale = 0.25 + 0.75 * std::min(1.0, d / 500.0);
+  const double overhead = it->second.overhead_city * dist_scale +
+                          lgen.exponential(config_.overhead_local_mean_ms);
+  return prop * inflation + overhead + src.last_mile_ms[i] +
+         dst.last_mile_ms[j] + penalty_ms(src, i, dst, j);
+}
+
 void LatencyModel::base_rtt_ms_batch(const HostSoA& src, std::size_t i,
                                      const HostSoA& dst, std::size_t begin,
                                      std::size_t end, CityPairCache& cache,
@@ -174,49 +212,22 @@ void LatencyModel::base_rtt_ms_batch(const HostSoA& src, std::size_t i,
   if (begin >= end) return;
   // Pass 1: great-circle distances into `out`, bit-identical to the scalar
   // distance_km per the batch-kernel contract. Pass 2 consumes each d and
-  // overwrites the slot with the finished base RTT, replicating the scalar
-  // base_rtt_ms / pair_inflation expressions term for term and in the same
-  // association — that is what makes the tile pipeline byte-identical to
-  // the dense one.
+  // overwrites the slot with the finished base RTT.
   geo::distance_km_batch(src.location[i], dst.points, begin, end, out);
-  const std::uint64_t city_a = src.city[i];
-  const std::uint64_t host_a = src.ids[i];
   for (std::size_t j = begin; j < end; ++j) {
-    const double d = out[j - begin];
-    const double prop = geo::distance_to_min_rtt_ms(d);
-    const std::uint64_t city_b = dst.city[j];
-    const std::uint64_t clo = std::min(city_a, city_b);
-    const std::uint64_t chi = std::max(city_a, city_b);
-    const auto [it, fresh] = cache.try_emplace((clo << 32) | chi);
-    if (fresh) {
-      auto cigen = keyed_gen(seed_, kInflationLabel, clo, chi);
-      it->second.inflation_city =
-          cigen.lognormal(config_.inflation_mu, config_.inflation_sigma);
-      auto cogen = keyed_gen(seed_, kOverheadCityLabel, clo, chi);
-      it->second.overhead_city = cogen.exponential(config_.overhead_mean_ms);
-    }
-    const std::uint64_t host_b = dst.ids[j];
-    const std::uint64_t hlo = std::min(host_a, host_b);
-    const std::uint64_t hhi = std::max(host_a, host_b);
-    auto hgen = keyed_gen(seed_, kInflationHostLabel, hlo, hhi);
-    const double raw = it->second.inflation_city *
-                       hgen.lognormal(0.0, config_.inflation_host_sigma);
-    const double short_boost =
-        1.0 + config_.short_path_boost_km / (d + config_.short_path_floor_km);
-    const double inflation = std::max(config_.min_inflation, raw * short_boost);
-    auto lgen = keyed_gen(seed_, kOverheadLocalLabel, hlo, hhi);
-    const double dist_scale = 0.25 + 0.75 * std::min(1.0, d / 500.0);
-    const double overhead =
-        it->second.overhead_city * dist_scale +
-        lgen.exponential(config_.overhead_local_mean_ms);
-    double penalty = 0.0;
-    const bool same_city = city_a == city_b;
-    if (!(same_city && src.local_peering[i])) {
-      penalty = src.access_penalty_ms[i] + dst.access_penalty_ms[j];
-    }
-    out[j - begin] = prop * inflation + overhead + src.last_mile_ms[i] +
-                     dst.last_mile_ms[j] + penalty;
+    out[j - begin] = base_rtt_ms_at(src, i, dst, j, out[j - begin], cache);
   }
+}
+
+double LatencyModel::floor_reach_km(double rtt_ms,
+                                    double last_miles_ms) const noexcept {
+  if (!(config_.min_inflation > 0.0)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  // rtt_floor_ms < rtt_ms needs prop · min_inflation < rtt_ms − last miles.
+  const double prop = std::max(0.0, rtt_ms - last_miles_ms) /
+                      config_.min_inflation;
+  return geo::rtt_to_max_distance_km(prop, geo::kSoiTwoThirdsKmPerMs);
 }
 
 double LatencyModel::router_hop_rtt_ms(HostId src, HostId hop,

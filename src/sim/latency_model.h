@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "geo/constants.h"
 #include "geo/geodesy_batch.h"
 #include "sim/world.h"
 #include "util/rng.h"
@@ -134,6 +135,40 @@ class LatencyModel {
                          std::size_t begin, std::size_t end,
                          CityPairCache& cache, double* out) const;
 
+  /// base_rtt_ms(src.ids[i], dst.ids[j]) for the pair's great-circle
+  /// distance `d` already in hand (as distance_km_batch computes it): the
+  /// batch path's per-pair body, for callers that synthesise a sparse
+  /// subset of a row and must not pay a second haversine.
+  [[nodiscard]] double base_rtt_ms_at(const HostSoA& src, std::size_t i,
+                                      const HostSoA& dst, std::size_t j,
+                                      double d, CityPairCache& cache) const;
+
+  // -- speed-of-Internet floor (DESIGN.md §14) ----------------------------
+  // A pair's RTT floor is base_rtt_ms's expression tree with the inflation
+  // at min_inflation and the overhead at 0, in the same association; the
+  // last miles and the (deterministic) tromboning penalty stay. Round-to-
+  // nearest + and × are monotone, the inflation is clamped at
+  // min_inflation, and overhead and jitter are non-negative (the model's
+  // contract), so floor <= base <= every packet's RTT, bit for bit.
+  // Bounded selection prunes cells by it.
+
+  /// The pair's RTT floor at great-circle distance `d`.
+  [[nodiscard]] double rtt_floor_ms(const HostSoA& src, std::size_t i,
+                                    const HostSoA& dst, std::size_t j,
+                                    double d) const noexcept {
+    return geo::distance_to_min_rtt_ms(d) * config_.min_inflation +
+           src.last_mile_ms[i] + dst.last_mile_ms[j] +
+           penalty_ms(src, i, dst, j);
+  }
+
+  /// The floor inverted, without rounding margins (callers add their own):
+  /// the greatest distance at which a pair whose last miles and penalty sum
+  /// to at least `last_miles_ms` can still have a floor below `rtt_ms`. 0
+  /// when not even a colocated pair can; +inf when min_inflation <= 0,
+  /// where the floor does not grow with distance.
+  [[nodiscard]] double floor_reach_km(double rtt_ms,
+                                      double last_miles_ms) const noexcept;
+
   /// ping_sample with the pair's deterministic base RTT already in hand:
   /// consumes `gen` identically to ping_sample(src, dst, ...) and returns
   /// the same value when (base_rtt, responsive) match that pair. The tile
@@ -158,6 +193,14 @@ class LatencyModel {
   [[nodiscard]] const World& world() const noexcept { return *world_; }
 
  private:
+  /// Tromboning penalties, waived for intra-city traffic where the city
+  /// has a local exchange.
+  [[nodiscard]] static double penalty_ms(const HostSoA& src, std::size_t i,
+                                         const HostSoA& dst,
+                                         std::size_t j) noexcept {
+    if (src.city[i] == dst.city[j] && src.local_peering[i]) return 0.0;
+    return src.access_penalty_ms[i] + dst.access_penalty_ms[j];
+  }
   [[nodiscard]] util::Pcg32 pair_gen(HostId a, HostId b,
                                      std::string_view label) const;
   /// Generator keyed on the unordered pair of *parent cities* — the

@@ -200,6 +200,9 @@ TEST(ObsDeterminismTest, StreamingCampaignInvariantUnderTracing) {
   const core::StreamingCampaignOutcome baseline =
       run(/*trace=*/false, /*threads=*/1);
   ASSERT_GT(baseline.located, 0u);
+  // The bounded sweep synthesises some rep cells and prunes others.
+  ASSERT_GT(baseline.rep_stats.synthesised_cells, 0u);
+  ASSERT_LT(baseline.rep_stats.synthesised_cells, baseline.rep_cells);
   for (const auto& [trace, threads] :
        {std::pair{true, 1u}, std::pair{true, 8u}, std::pair{false, 8u}}) {
     const core::StreamingCampaignOutcome other = run(trace, threads);
@@ -209,6 +212,8 @@ TEST(ObsDeterminismTest, StreamingCampaignInvariantUnderTracing) {
     EXPECT_EQ(baseline.errors_km, other.errors_km);
     EXPECT_EQ(baseline.rep_cells, other.rep_cells);
     EXPECT_EQ(baseline.target_cells, other.target_cells);
+    EXPECT_EQ(baseline.rep_stats.synthesised_cells,
+              other.rep_stats.synthesised_cells);
   }
 }
 
