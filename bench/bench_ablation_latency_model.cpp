@@ -44,8 +44,8 @@ int main() {
 
   // The ablations rebuild scenarios, so run them at the small scale unless
   // explicitly asked otherwise: paper-scale x 4 variants is minutes.
-  const bool full = !bench::small_mode() &&
-                    std::getenv("GEOLOC_ABLATION_FULL") != nullptr;
+  const bool full =
+      !bench::small_mode() && util::env::flag("GEOLOC_ABLATION_FULL");
   auto base = full ? scenario::paper_config() : scenario::small_config();
   base.cache_dir = scenario::default_cache_dir();
   if (!full) {

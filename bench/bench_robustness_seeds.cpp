@@ -21,7 +21,7 @@ int main() {
       "orderings and magnitudes persist across seeds");
 
   // Independent worlds are expensive; sweep at small scale by default.
-  const bool full = std::getenv("GEOLOC_ROBUSTNESS_FULL") != nullptr;
+  const bool full = util::env::flag("GEOLOC_ROBUSTNESS_FULL");
   if (!full) {
     std::printf("[running at small scale; set GEOLOC_ROBUSTNESS_FULL=1 for "
                 "723-target worlds]\n\n");

@@ -5,7 +5,7 @@
 // Acceptance shape (ISSUE/EXPERIMENTS): radius queries at 100k POIs are
 // >= 10x faster than the linear scan at p50, and index query latency grows
 // sub-linearly from 100k to 1M (the scan grows ~10x, the index does not —
-// covering size is bounded by GEOLOC_SPATIAL_MAX_CELLS and per-cell walks
+// covering size is bounded by spatial::kCoveringMaxCells and per-cell walks
 // touch only resident candidates).
 #include <benchmark/benchmark.h>
 

@@ -87,16 +87,6 @@ std::vector<std::size_t> PopulationGrid::kernel_indices_near(
   return out;
 }
 
-std::vector<std::size_t> PopulationGrid::kernel_indices_near_scan(
-    const geo::GeoPoint& p) const {
-  const int key = cell_key(p.lat_deg, p.lon_deg);
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < kernels_.size(); ++i) {
-    if (halo_covers(kernels_[i].center, key)) out.push_back(i);
-  }
-  return out;
-}
-
 double PopulationGrid::density_per_km2(const geo::GeoPoint& p) const {
   // Snap to the grid granularity so nearby queries agree, like GPWv4 cells.
   const double snap_deg = config_.query_snap_km / 111.0;

@@ -7,8 +7,8 @@
 // match GPWv4's granularity.
 //
 // Kernel lookup runs against a spatial::IntervalIndex over kernel centres;
-// kernel_indices_near_scan keeps the original halo-registration semantics
-// as the reference the equivalence suite compares against.
+// the equivalence suite pins it to the original halo-registration scan
+// (tests/oracles/population_grid_reference.h).
 #pragma once
 
 #include <vector>
@@ -38,11 +38,6 @@ class PopulationGrid {
   /// 2-cell-halo registration semantics, ascending kernel index (the
   /// density summation order). Index-backed.
   [[nodiscard]] std::vector<std::size_t> kernel_indices_near(
-      const geo::GeoPoint& p) const;
-
-  /// Reference implementation: per-kernel halo replay over every kernel.
-  /// Identical result to kernel_indices_near on every input.
-  [[nodiscard]] std::vector<std::size_t> kernel_indices_near_scan(
       const geo::GeoPoint& p) const;
 
   [[nodiscard]] std::size_t kernel_count() const noexcept {

@@ -93,54 +93,6 @@ const std::vector<double>& all_vp_errors(const scenario::Scenario& s,
   return cache.emplace(key, std::move(errors)).first->second;
 }
 
-std::vector<double> streamed_all_vp_errors(const scenario::Scenario& s,
-                                           const core::CbgConfig& config,
-                                           scenario::TileShape shape,
-                                           std::size_t tile_budget) {
-  const SweepScope scope("eval.streamed_all_vp_errors");
-  scenario::RttTileSource src =
-      scenario::RttTileSource::for_targets(s, shape, tile_budget);
-  const auto& world = s.world();
-  const auto& vps = s.vps();
-  std::vector<double> errors(s.targets().size(), -1.0);
-
-  for (std::size_t tb = 0; tb < src.target_blocks(); ++tb) {
-    const std::size_t col_begin = tb * src.shape().target_block;
-    const std::size_t col_end =
-        std::min(s.targets().size(), col_begin + src.shape().target_block);
-    const std::size_t n_cols = col_end - col_begin;
-    // Observations assemble VP-block by VP-block in ascending row order —
-    // the exact row order the dense path's all-rows loop produces — while
-    // only the tile cache's budget worth of RTTs is resident.
-    std::vector<std::vector<core::VpObservation>> obs(n_cols);
-    for (std::size_t vb = 0; vb < src.vp_blocks(); ++vb) {
-      const auto& t = src.tile(vb, tb);
-      for (std::size_t rr = 0; rr < t.rows(); ++rr) {
-        const std::size_t r = t.vp_begin + rr;
-        const float* row = t.rtt.data() + rr * t.cols();
-        for (std::size_t cc = 0; cc < n_cols; ++cc) {
-          const float rtt = row[cc];
-          if (scenario::RttMatrix::is_missing(rtt)) continue;
-          if (vps[r] == s.targets()[col_begin + cc]) continue;
-          obs[cc].push_back(core::VpObservation{
-              world.host(vps[r]).reported_location, rtt});
-        }
-      }
-    }
-    const std::vector<double> per_col = util::parallel_map<double>(
-        n_cols, [&](std::size_t cc) {
-          const core::CbgResult r = core::cbg_geolocate(obs[cc], config);
-          if (!r.ok) return -1.0;
-          return geo::distance_km(
-              r.estimate,
-              world.host(s.targets()[col_begin + cc]).true_location);
-        });
-    std::copy(per_col.begin(), per_col.end(),
-              errors.begin() + static_cast<std::ptrdiff_t>(col_begin));
-  }
-  return errors;
-}
-
 std::vector<SubsetTrials> run_subset_size_sweep(
     const scenario::Scenario& s, std::span<const int> subset_sizes, int trials,
     const core::CbgConfig& config) {

@@ -12,7 +12,6 @@
 #include "atlas/faults.h"
 #include "core/cbg.h"
 #include "scenario/scenario.h"
-#include "scenario/tile_source.h"
 #include "sim/city.h"
 
 namespace geoloc::eval {
@@ -21,17 +20,6 @@ namespace geoloc::eval {
 /// Cached per scenario fingerprint within the process.
 const std::vector<double>& all_vp_errors(const scenario::Scenario& s,
                                          const core::CbgConfig& config = {});
-
-/// Tile-streamed equivalent of all_vp_errors: identical output element for
-/// element, but the dense target matrix is never materialised — per target
-/// block, the VP-block tiles stream through the bounded cache while each
-/// column's observations assemble in row order, then the CBG solves map in
-/// parallel (DESIGN.md §14). Not process-cached; intended for worlds whose
-/// dense matrix would not fit.
-std::vector<double> streamed_all_vp_errors(const scenario::Scenario& s,
-                                           const core::CbgConfig& config = {},
-                                           scenario::TileShape shape = {},
-                                           std::size_t tile_budget = 0);
 
 /// Figure 2a/2b: random VP subsets of a given size; each trial draws one
 /// subset and evaluates every target.

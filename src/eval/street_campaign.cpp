@@ -200,22 +200,4 @@ const StreetCampaign& street_campaign(const scenario::Scenario& s,
   return *cache.emplace(tag, std::move(campaign)).first->second;
 }
 
-spatial::Calibrator calibrate_street_regions(const scenario::Scenario& s,
-                                             const StreetCampaign& campaign,
-                                             int cell_level) {
-  spatial::Calibrator cal(cell_level);
-  const std::size_t n =
-      std::min(campaign.records.size(), s.targets().size());
-  for (std::size_t col = 0; col < n; ++col) {
-    const geo::GeoPoint where =
-        s.world().host(s.targets()[col]).true_location;
-    for (const auto& [geographic_km, measured_km] : campaign.records[col].distances) {
-      // measured = min(D1+D2) * 4/9 c, so the delay is recoverable.
-      const double delay_ms = measured_km / geo::kSoiFourNinthsKmPerMs;
-      cal.add_sample(where, delay_ms, geographic_km);
-    }
-  }
-  return cal;
-}
-
 }  // namespace geoloc::eval

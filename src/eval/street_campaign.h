@@ -4,13 +4,12 @@
 // four bench binaries need the same results.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/street_level.h"
 #include "scenario/scenario.h"
-#include "spatial/calibrator.h"
 
 namespace geoloc::eval {
 
@@ -59,15 +58,5 @@ struct StreetCampaign {
 const StreetCampaign& street_campaign(const scenario::Scenario& s,
                                       std::size_t max_distances_per_target =
                                           256);
-
-/// Fit per-region delay -> distance calibrations from the campaign's
-/// usable landmark measurements. Each record's (geographic km, measured
-/// km) pairs are converted back to delays (measured = delay * 4/9 c) and
-/// accumulated into the hierarchy cell of the record's target, so
-/// spatial::Calibrator::fit_at answers "how fast does delay translate to
-/// distance around here" per region.
-[[nodiscard]] spatial::Calibrator calibrate_street_regions(
-    const scenario::Scenario& s, const StreetCampaign& campaign,
-    int cell_level = 4);
 
 }  // namespace geoloc::eval

@@ -87,10 +87,6 @@ std::vector<std::int64_t> probe_cells(const geo::GeoPoint& p,
 
 }  // namespace
 
-std::int64_t WebEcosystem::cell_of(const geo::GeoPoint& p) noexcept {
-  return cell_key(p);
-}
-
 WebEcosystem WebEcosystem::build(sim::World& world,
                                  const MappingService& mapping,
                                  const EcosystemConfig& config) {
@@ -219,15 +215,6 @@ std::span<const WebsiteId> WebEcosystem::websites_in_zip(
   return zip_index_.at_token(*token);
 }
 
-std::vector<WebsiteId> WebEcosystem::websites_in_zip_scan(
-    const std::string& zip) const {
-  std::vector<WebsiteId> out;
-  for (const Website& w : websites_) {
-    if (w.recorded_zip == zip) out.push_back(w.id);
-  }
-  return out;
-}
-
 std::vector<WebsiteId> WebEcosystem::websites_near_zip(
     const MappingService& mapping, const std::string& zip) const {
   std::vector<WebsiteId> out;
@@ -260,7 +247,7 @@ std::vector<WebsiteId> WebEcosystem::passing_near(const geo::GeoPoint& p,
   std::map<std::int64_t, std::vector<WebsiteId>> buckets;
   for (const std::uint32_t id : cand) {
     if (geo::distance_km(websites_[id].poi_location, p) <= radius_km) {
-      buckets[cell_of(websites_[id].poi_location)].push_back(id);
+      buckets[cell_key(websites_[id].poi_location)].push_back(id);
     }
   }
   // Candidates arrive in token order; within a 1-degree cell the original
@@ -271,26 +258,6 @@ std::vector<WebsiteId> WebEcosystem::passing_near(const geo::GeoPoint& p,
   for (const std::int64_t key : probes) {
     if (const auto it = buckets.find(key); it != buckets.end()) {
       out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  }
-  return out;
-}
-
-std::vector<WebsiteId> WebEcosystem::passing_near_scan(
-    const geo::GeoPoint& p, double radius_km) const {
-  // The original 1-degree hash-grid scan, expressed without the grid: for
-  // each probe cell in scan order, every passing site in that cell (by ID,
-  // the grid's bucket order) within the radius.
-  int lat_lo = 0, lat_hi = 0, lon_lo = 0, lon_hi = 0;
-  const std::vector<std::int64_t> probes =
-      probe_cells(p, radius_km, lat_lo, lat_hi, lon_lo, lon_hi);
-  std::vector<WebsiteId> out;
-  for (const std::int64_t key : probes) {
-    for (const Website& w : websites_) {
-      if (w.passes_tests && cell_of(w.poi_location) == key &&
-          geo::distance_km(w.poi_location, p) <= radius_km) {
-        out.push_back(w.id);
-      }
     }
   }
   return out;

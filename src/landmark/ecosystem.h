@@ -10,9 +10,9 @@
 // address, which is what poisons the tier-3 minimum-delay mapping.
 //
 // Lookup paths run against spatial::IntervalIndex structures (zip-token
-// buckets for websites_in_zip, a poi-location index for passing_near);
-// the *_scan methods keep the original linear/hash-grid semantics as the
-// reference implementations the equivalence suite compares against.
+// buckets for websites_in_zip, a poi-location index for passing_near); the
+// equivalence suite pins both to the original linear/hash-grid scans
+// (tests/oracles/web_ecosystem_reference.h).
 #pragma once
 
 #include <cstdint>
@@ -98,11 +98,6 @@ class WebEcosystem {
   [[nodiscard]] std::span<const WebsiteId> websites_in_zip(
       const std::string& zip) const;
 
-  /// Reference implementation: linear scan over every website. Identical
-  /// result to websites_in_zip on every input (equivalence suite).
-  [[nodiscard]] std::vector<WebsiteId> websites_in_zip_scan(
-      const std::string& zip) const;
-
   /// Concatenation of websites_in_zip over the zone and its 8 neighbours,
   /// in the harvester's zone scan order — the per-sample-point website
   /// query of the tier-2/3 pipeline.
@@ -113,13 +108,9 @@ class WebEcosystem {
   /// used by the closest-landmark oracle and the Figure 5b proximity table.
   /// One rect-covering query against the poi-location index, filtered to
   /// the exact probe-cell footprint of the original hash-grid scan so the
-  /// result (content and order) is identical to passing_near_scan.
+  /// result (content and order) is identical to that scan's.
   [[nodiscard]] std::vector<WebsiteId> passing_near(const geo::GeoPoint& p,
                                                     double radius_km) const;
-
-  /// Reference implementation of the original 1-degree hash-grid scan.
-  [[nodiscard]] std::vector<WebsiteId> passing_near_scan(
-      const geo::GeoPoint& p, double radius_km) const;
 
   [[nodiscard]] std::size_t total_count() const noexcept {
     return websites_.size();
@@ -136,10 +127,6 @@ class WebEcosystem {
   spatial::IntervalIndex passing_index_;
   spatial::ZipGrid grid_{0.045};  ///< copy of the mapping service's grid
   std::size_t passing_count_ = 0;
-
-  /// The original coarse 1-degree cell key (kept: passing_near's probe
-  /// footprint and the scan references are defined in terms of it).
-  static std::int64_t cell_of(const geo::GeoPoint& p) noexcept;
 };
 
 }  // namespace geoloc::landmark

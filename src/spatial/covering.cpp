@@ -6,20 +6,10 @@
 
 #include "geo/geodesy.h"
 #include "obs/metrics.h"
-#include "util/env.h"
 
 namespace geoloc::spatial {
 
 namespace {
-
-constexpr int kDefaultBudget = 64;
-constexpr int kMinBudget = 4;
-constexpr int kMaxBudget = 4096;
-
-int cached_budget() {
-  static const int v = covering_budget_from_env();
-  return v;
-}
 
 /// Upper bound on the great-circle distance from the cell centre to any
 /// point of the cell: half the latitude span plus half the longitude span
@@ -91,13 +81,8 @@ struct RectQuery {
 /// cells while the budget allows, emit the rest. Deterministic: the queue
 /// is processed FIFO and children are enqueued in token order.
 template <typename Query>
-std::vector<CellId> cover(const Query& q, const CoveringOptions& options) {
-  const int budget =
-      options.max_cells > 0
-          ? std::clamp(options.max_cells, kMinBudget, kMaxBudget)
-          : cached_budget();
-  const int max_level = std::clamp(options.max_level, 0, kMaxLevel);
-
+std::vector<CellId> cover(const Query& q) {
+  static_assert(kCoveringMaxLevel <= kMaxLevel);
   std::vector<CellId> result;
   std::deque<CellId> queue;
   for (int face = 0; face < 2; ++face) {
@@ -108,8 +93,9 @@ std::vector<CellId> cover(const Query& q, const CoveringOptions& options) {
     const CellId cell = queue.front();
     queue.pop_front();
     const bool can_subdivide =
-        cell.level() < max_level && !q.contained(cell) &&
-        static_cast<int>(result.size() + queue.size()) + 4 <= budget;
+        cell.level() < kCoveringMaxLevel && !q.contained(cell) &&
+        static_cast<int>(result.size() + queue.size()) + 4 <=
+            kCoveringMaxCells;
     if (!can_subdivide) {
       result.push_back(cell);
       continue;
@@ -133,12 +119,6 @@ std::vector<CellId> cover(const Query& q, const CoveringOptions& options) {
 }
 
 }  // namespace
-
-int covering_budget_from_env() {
-  return std::clamp(util::env::int_or("GEOLOC_SPATIAL_MAX_CELLS",
-                                      kDefaultBudget),
-                    kMinBudget, kMaxBudget);
-}
 
 LatLonRect LatLonRect::from_degrees(double lat_lo, double lat_hi,
                                     double lon_lo, double lon_hi) {
@@ -165,21 +145,19 @@ bool LatLonRect::contains(const geo::GeoPoint& p) const noexcept {
   return p.lon_deg >= lon_lo || p.lon_deg <= lon_hi;
 }
 
-std::vector<CellId> cover_disk(const geo::Disk& disk,
-                               const CoveringOptions& options) {
+std::vector<CellId> cover_disk(const geo::Disk& disk) {
   static obs::Counter& calls =
       obs::Registry::instance().counter("spatial.cover.disk");
   calls.add();
-  return cover(DiskQuery{&disk}, options);
+  return cover(DiskQuery{&disk});
 }
 
-std::vector<CellId> cover_rect(const LatLonRect& rect,
-                               const CoveringOptions& options) {
+std::vector<CellId> cover_rect(const LatLonRect& rect) {
   static obs::Counter& calls =
       obs::Registry::instance().counter("spatial.cover.rect");
   calls.add();
   if (rect.lat_lo > rect.lat_hi) return {};
-  return cover(RectQuery{&rect}, options);
+  return cover(RectQuery{&rect});
 }
 
 }  // namespace geoloc::spatial

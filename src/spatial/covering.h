@@ -2,12 +2,12 @@
 // supersets of a query region (a spherical disk or a lat/lon rectangle).
 //
 // Queries against spatial::IntervalIndex run in two stages — cover the
-// region with at most `max_cells` cells, then binary-search each cell's
+// region with at most kCoveringMaxCells cells, then binary-search each cell's
 // leaf-token interval — so the covering only has to be a *superset*; the
 // caller applies the exact predicate (great-circle distance, integer grid
-// membership) to the candidates. Both coverings are deterministic: the
-// same query and options always produce the same cell set, sorted by
-// token.
+// membership) to the candidates, and a query's answer does not depend on
+// the budget. Both coverings are deterministic: the same query always
+// produces the same cell set, sorted by token.
 //
 // Disk coverings use rigorous triangle-inequality bounds (distance to the
 // cell centre ± a circumradius upper bound), so a cell is only excluded
@@ -23,20 +23,11 @@
 
 namespace geoloc::spatial {
 
-struct CoveringOptions {
-  /// Cell budget. 0 means "use the GEOLOC_SPATIAL_MAX_CELLS environment
-  /// knob" (default 64, clamped into [4, 4096]).
-  int max_cells = 0;
-  /// Deepest level the covering may subdivide to. Deeper levels fit the
-  /// region tighter at the cost of more cells from the budget.
-  int max_level = 16;
-};
-
-/// The covering budget the environment configures: GEOLOC_SPATIAL_MAX_CELLS
-/// clamped into [4, 4096], 64 when unset or malformed. Read once per
-/// process by the covering functions (cached); this helper re-reads the
-/// environment on every call so tests can exercise the parse.
-[[nodiscard]] int covering_budget_from_env();
+/// Cell budget of every covering. Larger budgets fit tighter (fewer false
+/// candidates) at the cost of more binary searches per query.
+inline constexpr int kCoveringMaxCells = 64;
+/// Deepest level a covering subdivides to.
+inline constexpr int kCoveringMaxLevel = 16;
 
 /// A latitude/longitude rectangle in degrees. `lon_lo > lon_hi` means the
 /// range wraps the anti-meridian; `full_lon` spans every longitude.
@@ -58,15 +49,13 @@ struct LatLonRect {
   [[nodiscard]] bool contains(const geo::GeoPoint& p) const noexcept;
 };
 
-/// Cover the disk with at most options.max_cells disjoint cells, sorted by
+/// Cover the disk with at most kCoveringMaxCells disjoint cells, sorted by
 /// token. Every point of the disk lies in exactly one returned cell.
-[[nodiscard]] std::vector<CellId> cover_disk(const geo::Disk& disk,
-                                             const CoveringOptions& options = {});
+[[nodiscard]] std::vector<CellId> cover_disk(const geo::Disk& disk);
 
-/// Cover the rectangle with at most options.max_cells disjoint cells,
+/// Cover the rectangle with at most kCoveringMaxCells disjoint cells,
 /// sorted by token. Every point of the rectangle lies in exactly one
 /// returned cell. An empty rectangle (lat_lo > lat_hi) returns {}.
-[[nodiscard]] std::vector<CellId> cover_rect(const LatLonRect& rect,
-                                             const CoveringOptions& options = {});
+[[nodiscard]] std::vector<CellId> cover_rect(const LatLonRect& rect);
 
 }  // namespace geoloc::spatial

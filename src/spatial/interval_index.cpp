@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/durable.h"
 #include "util/parallel.h"
 
 namespace geoloc::spatial {
@@ -69,124 +68,43 @@ IntervalIndex IntervalIndex::build(std::span<const geo::GeoPoint> points) {
 
 std::span<const std::uint32_t> IntervalIndex::at_token(
     std::uint64_t token) const noexcept {
-  const std::span<const std::uint64_t> toks = tokens();
-  const std::span<const std::uint32_t> offs = offsets();
-  const auto it = std::lower_bound(toks.begin(), toks.end(), token);
-  if (it == toks.end() || *it != token) return {};
-  const std::size_t b = static_cast<std::size_t>(it - toks.begin());
-  return payloads().subspan(offs[b], offs[b + 1] - offs[b]);
+  const auto it = std::lower_bound(tokens_.begin(), tokens_.end(), token);
+  if (it == tokens_.end() || *it != token) return {};
+  const std::size_t b = static_cast<std::size_t>(it - tokens_.begin());
+  return std::span<const std::uint32_t>(payloads_)
+      .subspan(offsets_[b], offsets_[b + 1] - offsets_[b]);
 }
 
 void IntervalIndex::collect(std::span<const CellId> cells,
                             std::vector<std::uint32_t>& out) const {
-  const std::span<const std::uint64_t> toks = tokens();
-  const std::span<const std::uint32_t> offs = offsets();
-  const std::span<const std::uint32_t> pay = payloads();
   for (const CellId& cell : cells) {
     const std::uint64_t lo = cell.token_lo();
     const std::uint64_t hi = cell.token_hi();
-    auto it = std::lower_bound(toks.begin(), toks.end(), lo);
-    for (; it != toks.end() && *it < hi; ++it) {
-      const std::size_t b = static_cast<std::size_t>(it - toks.begin());
-      out.insert(out.end(), pay.begin() + offs[b], pay.begin() + offs[b + 1]);
+    auto it = std::lower_bound(tokens_.begin(), tokens_.end(), lo);
+    for (; it != tokens_.end() && *it < hi; ++it) {
+      const std::size_t b = static_cast<std::size_t>(it - tokens_.begin());
+      out.insert(out.end(), payloads_.begin() + offsets_[b],
+                 payloads_.begin() + offsets_[b + 1]);
     }
   }
 }
 
 std::vector<std::uint32_t> IntervalIndex::candidates_in_disk(
-    const geo::Disk& disk, const CoveringOptions& options) const {
+    const geo::Disk& disk) const {
   query_counter().add();
   std::vector<std::uint32_t> out;
-  collect(cover_disk(disk, options), out);
+  collect(cover_disk(disk), out);
   candidates_hist().observe(static_cast<double>(out.size()));
   return out;
 }
 
 std::vector<std::uint32_t> IntervalIndex::candidates_in_rect(
-    const LatLonRect& rect, const CoveringOptions& options) const {
+    const LatLonRect& rect) const {
   query_counter().add();
   std::vector<std::uint32_t> out;
-  collect(cover_rect(rect, options), out);
+  collect(cover_rect(rect), out);
   candidates_hist().observe(static_cast<double>(out.size()));
   return out;
-}
-
-bool IntervalIndex::save(const std::string& path, std::string* error) const {
-  const std::span<const std::uint64_t> toks = tokens();
-  const std::span<const std::uint32_t> offs = offsets();
-  const std::span<const std::uint32_t> pay = payloads();
-  util::durable::PayloadWriter w;
-  w.pod(static_cast<std::uint64_t>(toks.size()));
-  w.pod(static_cast<std::uint64_t>(pay.size()));
-  w.bytes(toks.data(), toks.size() * sizeof(std::uint64_t));
-  w.bytes(offs.data(), offs.size() * sizeof(std::uint32_t));
-  w.bytes(pay.data(), pay.size() * sizeof(std::uint32_t));
-  return util::durable::write_framed(path, kIntervalIndexMagic,
-                                     kIntervalIndexVersion, w.data(), error);
-}
-
-bool operator==(const IntervalIndex& a, const IntervalIndex& b) {
-  return std::ranges::equal(a.tokens(), b.tokens()) &&
-         std::ranges::equal(a.offsets(), b.offsets()) &&
-         std::ranges::equal(a.payloads(), b.payloads());
-}
-
-std::optional<IntervalIndex> IntervalIndex::load(const std::string& path) {
-  // Checksum-validated before use (read_framed_mapped runs the full header
-  // + XXH64 sequence against the mapping); only then are the CSR arrays
-  // aliased in place.
-  util::durable::FramedView fv =
-      util::durable::read_framed_mapped(path, kIntervalIndexMagic);
-  if (!fv.ok() || fv.version != kIntervalIndexVersion) return std::nullopt;
-
-  std::uint64_t n_tokens = 0;
-  std::uint64_t n_payloads = 0;
-  {
-    util::durable::PayloadReader r(fv.payload);
-    if (!r.pod(n_tokens) || !r.pod(n_payloads)) return std::nullopt;
-    // Sanity-bound the counts by the remaining bytes before using them.
-    const std::size_t need = n_tokens * sizeof(std::uint64_t) +
-                             (n_tokens + 1) * sizeof(std::uint32_t) +
-                             n_payloads * sizeof(std::uint32_t);
-    if (n_tokens > fv.payload.size() || n_payloads > fv.payload.size() ||
-        need != r.remaining()) {
-      return std::nullopt;
-    }
-  }
-
-  // Alias the three arrays in place. The payload sits kFrameHeaderBytes
-  // (40) into a page-aligned mapping (or into the heap buffer of the
-  // fallback), and the two u64 counts precede the u64 token array, so
-  // every array lands on its natural alignment; the check below is the
-  // belt-and-braces guard for an exotic allocator.
-  const std::byte* base = fv.payload.data() + 2 * sizeof(std::uint64_t);
-  if (reinterpret_cast<std::uintptr_t>(base) % alignof(std::uint64_t) != 0) {
-    return std::nullopt;
-  }
-  IntervalIndex idx;
-  idx.tokens_view_ = std::span<const std::uint64_t>(
-      reinterpret_cast<const std::uint64_t*>(base), n_tokens);
-  idx.offsets_view_ = std::span<const std::uint32_t>(
-      reinterpret_cast<const std::uint32_t*>(base +
-                                             n_tokens * sizeof(std::uint64_t)),
-      n_tokens + 1);
-  idx.payloads_view_ = std::span<const std::uint32_t>(
-      idx.offsets_view_.data() + n_tokens + 1, n_payloads);
-  idx.keepalive_ = std::move(fv.keepalive);
-  idx.mapped_ = fv.mapped;
-  idx.offsets_.clear();  // the view is authoritative; drop the {0} sentinel
-
-  // Structural validation: tokens strictly ascending, offsets monotone and
-  // spanning the payload array.
-  const std::span<const std::uint64_t> toks = idx.tokens();
-  const std::span<const std::uint32_t> offs = idx.offsets();
-  if (!std::is_sorted(toks.begin(), toks.end()) ||
-      std::adjacent_find(toks.begin(), toks.end()) != toks.end() ||
-      !std::is_sorted(offs.begin(), offs.end()) || offs.front() != 0 ||
-      offs.back() != n_payloads) {
-    return std::nullopt;
-  }
-  return idx;
 }
 
 }  // namespace geoloc::spatial

@@ -16,10 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "geo/disk.h"
@@ -27,10 +24,6 @@
 #include "spatial/covering.h"
 
 namespace geoloc::spatial {
-
-/// Artifact magic of a serialized IntervalIndex: "SPIDX001".
-inline constexpr std::uint64_t kIntervalIndexMagic = 0x3130305844495053ULL;
-inline constexpr std::uint32_t kIntervalIndexVersion = 1;
 
 class IntervalIndex {
  public:
@@ -48,10 +41,10 @@ class IntervalIndex {
   /// Build with payload i = i.
   static IntervalIndex build(std::span<const geo::GeoPoint> points);
 
-  [[nodiscard]] std::size_t size() const noexcept { return payloads().size(); }
-  [[nodiscard]] bool empty() const noexcept { return payloads().empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return payloads_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return payloads_.empty(); }
   [[nodiscard]] std::size_t token_count() const noexcept {
-    return tokens().size();
+    return tokens_.size();
   }
 
   /// Payloads whose leaf token equals `token`, ascending. Empty span when
@@ -69,65 +62,18 @@ class IntervalIndex {
   /// region is present (guaranteed superset); the caller applies the exact
   /// predicate. Token order.
   [[nodiscard]] std::vector<std::uint32_t> candidates_in_disk(
-      const geo::Disk& disk, const CoveringOptions& options = {}) const;
+      const geo::Disk& disk) const;
   [[nodiscard]] std::vector<std::uint32_t> candidates_in_rect(
-      const LatLonRect& rect, const CoveringOptions& options = {}) const;
+      const LatLonRect& rect) const;
 
-  // -- durable serialization ------------------------------------------------
-  /// Serialize through the util::durable framed format (magic "SPIDX001").
-  bool save(const std::string& path, std::string* error = nullptr) const;
-  /// Load a saved index. nullopt on cache miss, corruption (the file is
-  /// quarantined), or a malformed payload. Zero-copy: the three CSR arrays
-  /// alias a read-only mmap of the file (checksum-validated first; buffered
-  /// fallback when mmap fails), so loading a multi-GB index costs page
-  /// faults, not an up-front copy. The mapping lives as long as any copy of
-  /// the returned index.
-  static std::optional<IntervalIndex> load(const std::string& path);
-
-  /// True when this index aliases a loaded file instead of owning vectors.
-  [[nodiscard]] bool zero_copy() const noexcept {
-    return keepalive_ != nullptr;
-  }
-  /// True when the aliased storage is an actual mmap (false for the
-  /// buffered-reader fallback, which still avoids the vector copies).
-  [[nodiscard]] bool mapped() const noexcept { return mapped_; }
-
-  /// Logical equality over the CSR arrays, regardless of whether either
-  /// side owns or aliases its storage.
-  friend bool operator==(const IntervalIndex& a, const IntervalIndex& b);
+  friend bool operator==(const IntervalIndex&,
+                         const IntervalIndex&) = default;
 
  private:
-  // The CSR arrays live either in the owned vectors (build path) or behind
-  // the view spans pinned by `keepalive_` (zero-copy load path). All reads
-  // go through these accessors. Default copy/move are safe in both modes:
-  // copying an owning index copies the vectors (the stale view spans are
-  // never consulted while keepalive_ is null), and copying a view index
-  // shares the mapping through the shared_ptr.
-  [[nodiscard]] std::span<const std::uint64_t> tokens() const noexcept {
-    return keepalive_ ? tokens_view_ : std::span<const std::uint64_t>(tokens_);
-  }
-  [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
-    return keepalive_ ? offsets_view_
-                      : std::span<const std::uint32_t>(offsets_);
-  }
-  [[nodiscard]] std::span<const std::uint32_t> payloads() const noexcept {
-    return keepalive_ ? payloads_view_
-                      : std::span<const std::uint32_t>(payloads_);
-  }
-
   std::vector<std::uint64_t> tokens_;   ///< sorted unique leaf tokens
-  /// tokens_.size() + 1 bucket bounds; the [0] sentinel is always present
-  /// so an empty index round-trips through save/load.
+  /// tokens_.size() + 1 bucket bounds; the [0] sentinel is always present.
   std::vector<std::uint32_t> offsets_{0};
   std::vector<std::uint32_t> payloads_; ///< bucket-grouped payload IDs
-
-  /// Zero-copy mode: pins the validated file bytes (mmap or fallback
-  /// buffer); the spans below alias it and are authoritative while set.
-  std::shared_ptr<const void> keepalive_;
-  std::span<const std::uint64_t> tokens_view_;
-  std::span<const std::uint32_t> offsets_view_;
-  std::span<const std::uint32_t> payloads_view_;
-  bool mapped_ = false;
 };
 
 }  // namespace geoloc::spatial

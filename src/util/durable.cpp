@@ -407,10 +407,7 @@ FramedView read_framed_mapped(const std::string& path, std::uint64_t magic,
       path, std::span<const std::byte>(static_cast<const std::byte*>(base),
                                        size),
       magic, quarantine_corrupt);
-  if (v.ok()) {
-    v.keepalive = std::move(keep);
-    v.mapped = true;
-  }
+  if (v.ok()) v.keepalive = std::move(keep);
   return v;
 }
 

@@ -134,9 +134,9 @@ enum class ReadStatus : std::uint8_t {
 /// A validated frame seen in place: `payload` views the verified bytes
 /// instead of owning a copy, and `keepalive` pins the backing storage (an
 /// mmap'd file, or a heap buffer) for as long as any copy of it is held.
-/// Consumers that parse the payload into flat arrays — the spatial interval
-/// index, published snapshots — alias it directly and skip the
-/// payload-sized allocation + memcpy of read_framed.
+/// Consumers that parse the payload into flat arrays (published snapshots)
+/// alias it directly and skip the payload-sized allocation + memcpy of
+/// read_framed.
 struct FramedView {
   ReadStatus status = ReadStatus::IoError;
   std::uint32_t version = 0;            ///< caller format version (when Ok)
@@ -145,7 +145,6 @@ struct FramedView {
   /// Owns whatever `payload` points into. Keep (a copy of) this alive for
   /// the lifetime of anything aliasing the payload.
   std::shared_ptr<const void> keepalive;
-  bool mapped = false;                  ///< true = mmap, false = heap buffer
   std::string error;                    ///< one-line reason (when not Ok)
 
   [[nodiscard]] bool ok() const noexcept { return status == ReadStatus::Ok; }

@@ -37,9 +37,6 @@
 //                         (default 8 MiB; requests shed past it)
 //   GEOLOC_SERVE_REMEASURE_CAP=N    stale-prefix queue bound (default
 //                         65536; drops counted on serve.remeasure_dropped)
-//   GEOLOC_SPATIAL_MAX_CELLS=N   covering budget for spatial index queries
-//                         (default 64, clamped to [4, 4096]; more cells =
-//                         tighter coverings, fewer false candidates)
 //   GEOLOC_RTT_TILE_VPS=N / GEOLOC_RTT_TILE_TARGETS=N   tile geometry of
 //                         the streaming RTT producer (default 256 x 512;
 //                         any shape yields the same bytes — DESIGN.md §14)
@@ -54,6 +51,10 @@
 //                         100000 / 10 / 128 = the 1M-target point)
 //   GEOLOC_MS_RSS_CEILING_MB=N  bench_million_scale memory gate
 //                         (default 4096)
+//   GEOLOC_ABLATION_FULL=1      bench_ablation_latency_model at paper
+//                         scale (default: small scale)
+//   GEOLOC_ROBUSTNESS_FULL=1    bench_robustness_seeds with 723-target
+//                         worlds (default: small scale)
 //   GEOLOC_CHURN_SEED=N   world-churn RNG seed (sim/churn.h; default
 //                         20240601)
 //   GEOLOC_CHURN_PREFIX_PM=N    /24 reassignment onset rate per epoch,

@@ -5,8 +5,7 @@
 // matrices. With the scenario's own campaigns and the identity
 // target→rep-column mapping the two pipelines must agree bitwise: same
 // selected rows per target, same per-target errors, at every tile shape and
-// thread count. streamed_all_vp_errors is held to the same standard against
-// eval::all_vp_errors.
+// thread count.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -188,24 +187,6 @@ TEST(ScaleStreamingCampaign, ShortColSelfIsRejected) {
                                            all.first(reps.cols() - 1)),
                std::invalid_argument);
   EXPECT_NO_THROW(core::streamed_select_block(reps, 0, 3, all));
-}
-
-TEST(ScaleStreamingCampaign, StreamedAllVpErrorsMatchesDenseBitwise) {
-  const auto& s = testing::small_scenario();
-  const std::vector<double>& dense = eval::all_vp_errors(s);
-  ThreadGuard guard;
-  for (const unsigned threads : {1u, 8u}) {
-    util::set_thread_count(threads);
-    for (const TileShape& shape : {TileShape{16, 64}, TileShape{7, 13}}) {
-      const std::vector<double> streamed =
-          eval::streamed_all_vp_errors(s, {}, shape);
-      ASSERT_EQ(dense.size(), streamed.size());
-      for (std::size_t t = 0; t < dense.size(); ++t) {
-        EXPECT_EQ(dense[t], streamed[t])
-            << "target " << t << " at " << threads << " thread(s)";
-      }
-    }
-  }
 }
 
 TEST(ScaleStreamingCampaign, ResilientRepSourceIsDeterministicAndFaultAware) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 
 #include "geo/geodesy.h"
@@ -56,25 +55,15 @@ TEST(SpatialCovering, DiskCoveringIsASupersetOfTheDisk) {
 }
 
 TEST(SpatialCovering, DiskCoveringRespectsTheBudget) {
-  for (const int budget : {4, 16, 64, 256}) {
-    CoveringOptions opt;
-    opt.max_cells = budget;
-    const auto cover = cover_disk(geo::Disk{{48.85, 2.35}, 120.0}, opt);
-    EXPECT_LE(static_cast<int>(cover.size()), budget);
+  static_assert(kCoveringMaxCells == 64);
+  static_assert(kCoveringMaxLevel == 16);
+  for (const double radius_km : {1.0, 120.0, 2000.0}) {
+    const auto cover = cover_disk(geo::Disk{{48.85, 2.35}, radius_km});
+    EXPECT_LE(static_cast<int>(cover.size()), kCoveringMaxCells);
     EXPECT_FALSE(cover.empty());
-  }
-}
-
-TEST(SpatialCovering, TighterBudgetMeansCoarserNeverWrongCovering) {
-  const geo::Disk disk{{40.7, -74.0}, 50.0};
-  CoveringOptions small_opt;
-  small_opt.max_cells = 4;
-  const auto coarse = cover_disk(disk, small_opt);
-  for (int i = 0; i < 100; ++i) {
-    std::uniform_real_distribution<double> r(0.0, disk.radius_km);
-    std::uniform_real_distribution<double> b(0.0, 360.0);
-    const geo::GeoPoint p = geo::destination(disk.center, b(rng), r(rng));
-    EXPECT_EQ(cells_containing(coarse, p), 1);
+    for (const CellId& cell : cover) {
+      EXPECT_LE(cell.level(), kCoveringMaxLevel);
+    }
   }
 }
 
@@ -150,26 +139,6 @@ TEST(SpatialCovering, EmptyRectHasNoCovering) {
   rect.lat_lo = 20.0;
   rect.lat_hi = 10.0;  // inverted = empty
   EXPECT_TRUE(cover_rect(rect).empty());
-}
-
-TEST(SpatialCovering, BudgetFromEnvClampsAndRejectsGarbage) {
-  const auto with_env = [](const char* value, int expected) {
-    if (value == nullptr) {
-      ::unsetenv("GEOLOC_SPATIAL_MAX_CELLS");
-    } else {
-      ::setenv("GEOLOC_SPATIAL_MAX_CELLS", value, 1);
-    }
-    EXPECT_EQ(covering_budget_from_env(), expected)
-        << "for " << (value ? value : "(unset)");
-  };
-  with_env(nullptr, 64);
-  with_env("128", 128);
-  with_env("1", 4);         // clamped up
-  with_env("999999", 4096); // clamped down
-  with_env("8x", 64);       // trailing junk rejected
-  with_env("-5", 64);
-  with_env("", 64);
-  ::unsetenv("GEOLOC_SPATIAL_MAX_CELLS");
 }
 
 }  // namespace

@@ -15,14 +15,19 @@
 #include "geo/geopoint.h"
 #include "landmark/ecosystem.h"
 #include "landmark/mapping_service.h"
+#include "oracles/population_grid_reference.h"
+#include "oracles/web_ecosystem_reference.h"
 #include "sim/world.h"
 #include "test_scenario.h"
 
 namespace geoloc {
 namespace {
 
+using dataset::oracle::kernel_indices_near_scan;
 using landmark::WebEcosystem;
 using landmark::WebsiteId;
+using landmark::oracle::passing_near_scan;
+using landmark::oracle::websites_in_zip_scan;
 
 std::vector<WebsiteId> to_vector(std::span<const WebsiteId> s) {
   return {s.begin(), s.end()};
@@ -59,7 +64,7 @@ TEST(SpatialEquivalence, WebsitesInZipMatchesScanForEveryRecordedZip) {
   ASSERT_FALSE(zips.empty());
   for (const std::string& zip : zips) {
     const auto indexed = to_vector(eco.websites_in_zip(zip));
-    const auto scanned = eco.websites_in_zip_scan(zip);
+    const auto scanned = websites_in_zip_scan(eco, zip);
     ASSERT_EQ(indexed, scanned) << zip;
     EXPECT_FALSE(indexed.empty()) << zip;
   }
@@ -78,7 +83,7 @@ TEST(SpatialEquivalence, WebsitesInZipMatchesScanForForeignAndGarbageZips) {
                            "Z-0001x00002", "Z99999x99999", "Z00000x00000"});
   for (const std::string& zip : zips) {
     EXPECT_EQ(to_vector(eco.websites_in_zip(zip)),
-              eco.websites_in_zip_scan(zip))
+              websites_in_zip_scan(eco, zip))
         << "\"" << zip << "\"";
   }
 }
@@ -94,7 +99,7 @@ TEST(SpatialEquivalence, WebsitesNearZipConcatenatesNeighborZones) {
     const auto got = eco.websites_near_zip(mapping, w.recorded_zip);
     std::vector<WebsiteId> want;
     for (const std::string& zone : mapping.neighbor_zones(w.recorded_zip)) {
-      const auto scanned = eco.websites_in_zip_scan(zone);
+      const auto scanned = websites_in_zip_scan(eco, zone);
       want.insert(want.end(), scanned.begin(), scanned.end());
     }
     ASSERT_EQ(got, want) << w.recorded_zip;
@@ -116,7 +121,7 @@ TEST(SpatialEquivalence, PassingNearMatchesScanAtScenarioPlaces) {
                             geo::normalize_lon(place.location.lon_deg +
                                                jitter(rng))};
       const auto indexed = eco.passing_near(q, radius_km);
-      const auto scanned = eco.passing_near_scan(q, radius_km);
+      const auto scanned = passing_near_scan(eco, q, radius_km);
       ASSERT_EQ(indexed, scanned)
           << q.lat_deg << "," << q.lon_deg << " r=" << radius_km;
     }
@@ -129,7 +134,7 @@ TEST(SpatialEquivalence, PassingNearMatchesScanAtGeometricEdges) {
   for (const geo::GeoPoint& q : edge_points()) {
     for (const double radius_km : {0.0, 5.0, 200.0, 2000.0}) {
       EXPECT_EQ(eco.passing_near(q, radius_km),
-                eco.passing_near_scan(q, radius_km))
+                passing_near_scan(eco, q, radius_km))
           << q.lat_deg << "," << q.lon_deg << " r=" << radius_km;
     }
   }
@@ -169,7 +174,8 @@ TEST(SpatialEquivalence, PopulationKernelsMatchScanEverywhere) {
     pts.push_back(place.location);
   }
   for (const geo::GeoPoint& p : pts) {
-    ASSERT_EQ(grid.kernel_indices_near(p), grid.kernel_indices_near_scan(p))
+    ASSERT_EQ(grid.kernel_indices_near(p),
+              kernel_indices_near_scan(s.world(), p))
         << p.lat_deg << "," << p.lon_deg;
   }
 }
@@ -189,11 +195,12 @@ TEST(SpatialEquivalence, EmptyEcosystemQueriesAgreeOnEmpty) {
   EXPECT_EQ(eco.passing_count(), 0u);
   for (const geo::GeoPoint& q : edge_points()) {
     EXPECT_TRUE(eco.passing_near(q, 500.0).empty());
-    EXPECT_EQ(eco.passing_near(q, 500.0), eco.passing_near_scan(q, 500.0));
+    EXPECT_EQ(eco.passing_near(q, 500.0),
+              passing_near_scan(eco, q, 500.0));
     const std::string zip = mapping.zone_of(q);
     EXPECT_TRUE(eco.websites_in_zip(zip).empty());
     EXPECT_EQ(to_vector(eco.websites_in_zip(zip)),
-              eco.websites_in_zip_scan(zip));
+              websites_in_zip_scan(eco, zip));
     EXPECT_EQ(eco.websites_near_zip(mapping, zip),
               std::vector<WebsiteId>{});
   }

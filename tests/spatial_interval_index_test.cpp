@@ -2,23 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <random>
 #include <vector>
 
 #include "geo/geodesy.h"
-#include "util/durable.h"
 #include "util/parallel.h"
 
 namespace geoloc::spatial {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::vector<geo::GeoPoint> random_points(std::size_t n, std::uint32_t seed) {
   std::mt19937 rng(seed);
@@ -27,12 +19,6 @@ std::vector<geo::GeoPoint> random_points(std::size_t n, std::uint32_t seed) {
   std::vector<geo::GeoPoint> out(n);
   for (auto& p : out) p = geo::GeoPoint{lat(rng), lon(rng)};
   return out;
-}
-
-std::string temp_path(const char* name) {
-  return (fs::temp_directory_path() /
-          ("geoloc-spidx-" + std::to_string(::getpid()) + "-" + name))
-      .string();
 }
 
 TEST(SpatialIntervalIndex, DiskCandidatesAreASupersetAndExactAfterFilter) {
@@ -111,172 +97,6 @@ TEST(SpatialIntervalIndex, BuildIsByteIdenticalAtAnyThreadCount) {
   const IntervalIndex parallel = IntervalIndex::build(points);
   util::set_thread_count(0);
   EXPECT_EQ(serial, parallel);
-
-  // And through serialization: the bytes on disk are identical too.
-  const std::string p1 = temp_path("serial.bin");
-  const std::string p2 = temp_path("parallel.bin");
-  ASSERT_TRUE(serial.save(p1));
-  ASSERT_TRUE(parallel.save(p2));
-  std::ifstream f1(p1, std::ios::binary), f2(p2, std::ios::binary);
-  const std::string b1((std::istreambuf_iterator<char>(f1)), {});
-  const std::string b2((std::istreambuf_iterator<char>(f2)), {});
-  EXPECT_EQ(b1, b2);
-  fs::remove(p1);
-  fs::remove(p2);
-}
-
-TEST(SpatialIntervalIndex, SaveLoadRoundTrip) {
-  const auto points = random_points(777, 5);
-  const IntervalIndex idx = IntervalIndex::build(points);
-  const std::string path = temp_path("roundtrip.bin");
-  ASSERT_TRUE(idx.save(path));
-  const auto loaded = IntervalIndex::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, idx);
-  fs::remove(path);
-}
-
-TEST(SpatialIntervalIndex, EmptyIndexRoundTrips) {
-  const IntervalIndex idx;
-  const std::string path = temp_path("empty.bin");
-  ASSERT_TRUE(idx.save(path));
-  const auto loaded = IntervalIndex::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, idx);
-  fs::remove(path);
-}
-
-TEST(SpatialIntervalIndex, MissingFileIsACleanMiss) {
-  EXPECT_FALSE(IntervalIndex::load(temp_path("never-written.bin")));
-}
-
-TEST(SpatialIntervalIndex, CorruptionIsDetectedAndQuarantined) {
-  const auto points = random_points(200, 6);
-  const IntervalIndex idx = IntervalIndex::build(points);
-  const std::string path = temp_path("corrupt.bin");
-  ASSERT_TRUE(idx.save(path));
-
-  // Flip one payload byte: the frame checksum must reject the file and
-  // move it aside so a regeneration can write a clean one.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(60);
-  char c = 0;
-  f.seekg(60);
-  f.read(&c, 1);
-  c = static_cast<char>(c ^ 0x20);
-  f.seekp(60);
-  f.write(&c, 1);
-  f.close();
-
-  EXPECT_FALSE(IntervalIndex::load(path));
-  EXPECT_FALSE(fs::exists(path)) << "corrupt file must be quarantined";
-  EXPECT_TRUE(fs::exists(path + ".corrupt"));
-  fs::remove(path + ".corrupt");
-
-  ASSERT_TRUE(idx.save(path));  // regeneration succeeds
-  EXPECT_TRUE(IntervalIndex::load(path).has_value());
-  fs::remove(path);
-}
-
-TEST(SpatialIntervalIndex, LoadIsZeroCopyAndAnswersQueriesFromTheMapping) {
-  const auto points = random_points(1500, 8);
-  const IntervalIndex idx = IntervalIndex::build(points);
-  const std::string path = temp_path("mmap.bin");
-  ASSERT_TRUE(idx.save(path));
-
-  const auto loaded = IntervalIndex::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->zero_copy());
-  EXPECT_TRUE(loaded->mapped());
-  EXPECT_EQ(*loaded, idx);
-
-  // Queries against the mapping equal queries against the owned build.
-  const geo::Disk disk{{10.0, 20.0}, 2000.0};
-  EXPECT_EQ(loaded->candidates_in_disk(disk), idx.candidates_in_disk(disk));
-  const auto token = CellId::leaf_token(points[42]);
-  const auto a = idx.at_token(token);
-  const auto b = loaded->at_token(token);
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-
-  // A copy shares the mapping: it must survive the original's destruction.
-  auto copy = *loaded;
-  EXPECT_TRUE(copy.zero_copy());
-  EXPECT_EQ(copy, idx);
-  fs::remove(path);
-}
-
-TEST(SpatialIntervalIndex, BufferedFallbackLoadsWhenMmapIsDisabled) {
-  const auto points = random_points(600, 9);
-  const IntervalIndex idx = IntervalIndex::build(points);
-  const std::string path = temp_path("nommap.bin");
-  ASSERT_TRUE(idx.save(path));
-
-  ::setenv("GEOLOC_DURABLE_NO_MMAP", "1", 1);
-  const auto loaded = IntervalIndex::load(path);
-  ::unsetenv("GEOLOC_DURABLE_NO_MMAP");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->zero_copy());   // still aliases the fallback buffer
-  EXPECT_FALSE(loaded->mapped());     // ...but it is not a mapping
-  EXPECT_EQ(*loaded, idx);
-  fs::remove(path);
-}
-
-TEST(SpatialIntervalIndex, ZeroCopyIndexReserializesIdentically) {
-  // save() reads through the accessors, so a mapped index writes the same
-  // bytes an owning one does.
-  const auto points = random_points(400, 10);
-  const IntervalIndex idx = IntervalIndex::build(points);
-  const std::string p1 = temp_path("reserialize-1.bin");
-  const std::string p2 = temp_path("reserialize-2.bin");
-  ASSERT_TRUE(idx.save(p1));
-  const auto loaded = IntervalIndex::load(p1);
-  ASSERT_TRUE(loaded.has_value() && loaded->zero_copy());
-  ASSERT_TRUE(loaded->save(p2));
-  std::ifstream f1(p1, std::ios::binary), f2(p2, std::ios::binary);
-  const std::string b1((std::istreambuf_iterator<char>(f1)), {});
-  const std::string b2((std::istreambuf_iterator<char>(f2)), {});
-  EXPECT_EQ(b1, b2);
-  fs::remove(p1);
-  fs::remove(p2);
-}
-
-TEST(SpatialIntervalIndex, MappedCorruptionStillQuarantines) {
-  // The mmap path validates the checksum against the mapping before any
-  // byte is exposed; corruption must quarantine exactly like the buffered
-  // reader.
-  const auto points = random_points(300, 11);
-  const IntervalIndex idx = IntervalIndex::build(points);
-  const std::string path = temp_path("mmap-corrupt.bin");
-  ASSERT_TRUE(idx.save(path));
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(72);
-  char c = 0;
-  f.seekg(72);
-  f.read(&c, 1);
-  c = static_cast<char>(c ^ 0x01);
-  f.seekp(72);
-  f.write(&c, 1);
-  f.close();
-  EXPECT_FALSE(IntervalIndex::load(path));
-  EXPECT_FALSE(fs::exists(path));
-  EXPECT_TRUE(fs::exists(path + ".corrupt"));
-  fs::remove(path + ".corrupt");
-}
-
-TEST(SpatialIntervalIndex, ForeignMagicIsRejected) {
-  // A framed file with someone else's magic must not decode.
-  const auto points = random_points(50, 7);
-  const IntervalIndex idx = IntervalIndex::build(points);
-  const std::string path = temp_path("foreign.bin");
-  ASSERT_TRUE(idx.save(path));
-  const util::durable::FramedRead fr =
-      util::durable::read_framed(path, kIntervalIndexMagic);
-  ASSERT_TRUE(fr.ok());
-  ASSERT_TRUE(util::durable::write_framed(path, /*magic=*/0x1234,
-                                          kIntervalIndexVersion, fr.payload));
-  EXPECT_FALSE(IntervalIndex::load(path));
-  fs::remove(path);
-  fs::remove(path + ".corrupt");
 }
 
 }  // namespace
