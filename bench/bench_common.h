@@ -6,7 +6,9 @@
 // *shape* — orderings, ratios, crossovers — not its absolute values (the
 // substrate here is a simulator; see DESIGN.md and EXPERIMENTS.md).
 //
-// Environment knobs (parsed by util/env.h — the registry lives there):
+// The environment knobs every bench shares (parsed by util/env.h, whose
+// registry lists all of them; the few bench-specific ones are documented in
+// their mains, and every other setting is a config field set in code):
 //   GEOLOC_SMALL=1       run on the miniature scenario (quick smoke)
 //   GEOLOC_TRIALS=N      trial count for the randomized sweeps
 //   GEOLOC_CACHE_DIR=…   where the RTT-matrix / campaign caches live
@@ -18,6 +20,7 @@
 //                        JSON-lines shape, tagged with the bench name)
 //   GEOLOC_TRACE=1       record obs trace spans (flushed into the
 //                        metrics snapshot)
+//   GEOLOC_EXPORT_DIR=d  write each figure series as CSV into directory d
 #pragma once
 
 #include <chrono>

@@ -32,7 +32,6 @@
 // churn in /16 waves and of demand in few prefixes — that churn-aware
 // policies monetise.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -60,11 +59,7 @@ int main() {
   cfg.lookups_per_epoch = 64;
   cfg.vps_per_target = 8;
   cfg.packets = 3;
-  cfg.churn = sim::ChurnConfig::from_env();
-  // Hot churn default (still overridable via the usual env knob).
-  if (std::getenv("GEOLOC_CHURN_PREFIX_PM") == nullptr) {
-    cfg.churn.prefix_reassignment_rate = 0.06;
-  }
+  cfg.churn.prefix_reassignment_rate = 0.06;  // hot churn
 
   const std::vector<std::size_t> budgets = {8, 24, 64};
   // A six-epoch run sees only a handful of (heavy-tailed) churn events, so

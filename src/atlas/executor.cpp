@@ -126,7 +126,6 @@ CampaignReport CampaignExecutor::execute(
   // GEOLOC_CHECKPOINT_DIR yields a per-campaign file keyed by fingerprint.
   std::string ckpt_path = config_.checkpoint.path;
   std::uint64_t ckpt_fp = 0;
-  std::uint64_t ckpt_every = 0;
   if (ckpt_path.empty()) {
     const std::string dir =
         util::env::string_or("GEOLOC_CHECKPOINT_DIR", "");
@@ -143,14 +142,8 @@ CampaignReport CampaignExecutor::execute(
       }
     }
   }
-  if (!ckpt_path.empty()) {
-    if (ckpt_fp == 0) {
-      ckpt_fp = campaign_fingerprint(requests, spare_vps, config_, *platform_);
-    }
-    ckpt_every = config_.checkpoint.every_rounds != 0
-                     ? config_.checkpoint.every_rounds
-                     : static_cast<std::uint64_t>(
-                           util::env::int_or("GEOLOC_CHECKPOINT_EVERY", 1));
+  if (!ckpt_path.empty() && ckpt_fp == 0) {
+    ckpt_fp = campaign_fingerprint(requests, spare_vps, config_, *platform_);
   }
 
   // Resume: restore queue, clocks, draw cursors, accumulated report, and
@@ -185,8 +178,9 @@ CampaignReport CampaignExecutor::execute(
     const bool stop = config_.checkpoint.stop_after_rounds != 0 &&
                       report.rounds >= config_.checkpoint.stop_after_rounds &&
                       !queue.empty();
+    const std::uint64_t every = config_.checkpoint.every_rounds;
     if (!ckpt_path.empty() &&
-        ((ckpt_every != 0 && report.rounds % ckpt_every == 0) || stop)) {
+        ((every != 0 && report.rounds % every == 0) || stop)) {
       CampaignCheckpoint c;
       c.fingerprint = ckpt_fp;
       c.now_s = now_s;

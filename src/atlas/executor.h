@@ -53,9 +53,9 @@ struct CheckpointPolicy {
   /// GEOLOC_CHECKPOINT_DIR is set, in which case the executor derives
   /// "<dir>/campaign-<fingerprint>.ckpt" per campaign.
   std::string path;
-  /// Checkpoint every N completed rounds; 0 defers to
-  /// GEOLOC_CHECKPOINT_EVERY (default 1 — every round boundary).
-  std::uint64_t every_rounds = 0;
+  /// Checkpoint every N completed rounds (default 1 — every round
+  /// boundary); 0 checkpoints only before a stop_after_rounds exit.
+  std::uint64_t every_rounds = 1;
   /// Load a matching checkpoint at execute() start. A checkpoint whose
   /// campaign fingerprint (requests, spares, config, world seed, weather)
   /// differs is ignored; a corrupt one is quarantined and ignored.

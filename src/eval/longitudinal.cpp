@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -19,7 +18,6 @@
 #include "publish/diff.h"
 #include "serve/geo_service.h"
 #include "util/durable.h"
-#include "util/env.h"
 #include "util/stats.h"
 
 namespace geoloc::eval {
@@ -391,25 +389,6 @@ LongitudinalResult run_longitudinal(scenario::Scenario& s,
         select_prefixes(policy, *current, now, cfg.budget_prefixes, service,
                         hot16, cfg);
     es.selected_prefixes = selected.size();
-    if (util::env::flag("GEOLOC_LONG_DEBUG")) {
-      std::size_t wrong = 0;
-      for (const net::Prefix& p : selected) {
-        const auto entry = current->find(p.network());
-        if (!entry) continue;
-        for (const sim::HostId t : s.targets()) {
-          const sim::Host& h = s.world().host(t);
-          if (!p.contains(h.addr)) continue;
-          if (geo::distance_km(entry->location, h.true_location) > 100.0) {
-            ++wrong;
-          }
-          break;
-        }
-      }
-      std::fprintf(stderr, "[long] %s epoch %llu: selected=%zu wrong=%zu\n",
-                   std::string(to_string(policy)).c_str(),
-                   static_cast<unsigned long long>(epoch), selected.size(),
-                   wrong);
-    }
     const auto requests = serve::plan_remeasurement(
         s, selected, *current, churn.active_vps(), cfg.vps_per_target,
         cfg.packets);

@@ -1,15 +1,12 @@
 #include "eval/street_campaign.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
 #include "eval/metrics.h"
 #include "util/durable.h"
-#include "util/env.h"
 #include "util/stats.h"
 
 namespace geoloc::eval {
@@ -107,19 +104,9 @@ const StreetCampaign& street_campaign(const scenario::Scenario& s,
 
   auto campaign = std::make_unique<StreetCampaign>();
 
-  const std::string dir =
-      util::env::string_or("GEOLOC_CACHE_DIR", s.config().cache_dir);
-  std::string path;
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "/street-campaign-%016llx.bin",
-                  static_cast<unsigned long long>(tag));
-    path = dir + buf;
-    if (campaign->load(path, tag)) {
-      return *cache.emplace(tag, std::move(campaign)).first->second;
-    }
+  const auto path = s.cache_path("street-campaign");
+  if (path && campaign->load(*path, tag)) {
+    return *cache.emplace(tag, std::move(campaign)).first->second;
   }
 
   const core::StreetLevel street(s);
@@ -196,7 +183,7 @@ const StreetCampaign& street_campaign(const scenario::Scenario& s,
     campaign->records.push_back(std::move(rec));
   }
 
-  if (!path.empty()) campaign->save(path, tag);
+  if (path) campaign->save(*path, tag);
   return *cache.emplace(tag, std::move(campaign)).first->second;
 }
 

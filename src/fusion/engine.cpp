@@ -2,7 +2,6 @@
 
 #include "geo/constants.h"
 #include "geo/geodesy.h"
-#include "util/env.h"
 
 namespace geoloc::fusion {
 
@@ -22,16 +21,6 @@ std::string_view to_string(ClaimVerdict v) noexcept {
     case ClaimVerdict::Inconclusive: return "inconclusive";
   }
   return "?";
-}
-
-EngineConfig EngineConfig::from_env() {
-  EngineConfig c;
-  c.slack_km = static_cast<double>(util::env::int_or(
-      "GEOLOC_FUSION_SLACK_KM", static_cast<int>(c.slack_km)));
-  c.verify_k = util::env::int_or("GEOLOC_FUSION_VERIFY_K", c.verify_k);
-  c.min_conclusive =
-      util::env::int_or("GEOLOC_FUSION_MIN_CONCLUSIVE", c.min_conclusive);
-  return c;
 }
 
 bool geometric_feasible(std::span<const geo::Disk> disks,

@@ -74,10 +74,6 @@ struct EngineConfig {
   int min_conclusive = 2;
   /// Speed of Internet for the active-verification distance bounds.
   double soi_km_per_ms = geo::kSoiTwoThirdsKmPerMs;
-
-  /// Overlay GEOLOC_FUSION_SLACK_KM / GEOLOC_FUSION_VERIFY_K /
-  /// GEOLOC_FUSION_MIN_CONCLUSIVE onto the defaults.
-  static EngineConfig from_env();
 };
 
 /// Stage 1: can the claim coexist with the CBG constraint disks? A target

@@ -1,22 +1,8 @@
 #include "fusion/trust.h"
 
 #include "obs/metrics.h"
-#include "util/env.h"
 
 namespace geoloc::fusion {
-
-TrustConfig TrustConfig::from_env() {
-  TrustConfig c;
-  if (const int pm = util::env::int_or("GEOLOC_FUSION_QUARANTINE_PM", -1);
-      pm > 0) {
-    c.quarantine_rejection_rate = static_cast<double>(pm) / 1000.0;
-  }
-  c.min_observations = static_cast<std::uint32_t>(util::env::int_or(
-      "GEOLOC_FUSION_MIN_OBS", static_cast<int>(c.min_observations)));
-  c.probation_epochs = static_cast<std::uint32_t>(util::env::int_or(
-      "GEOLOC_FUSION_PROBATION", static_cast<int>(c.probation_epochs)));
-  return c;
-}
 
 bool TrustTracker::consult(std::string_view source) const {
   const auto it = sources_.find(source);

@@ -27,10 +27,6 @@ struct TrustConfig {
   double quarantine_rejection_rate = 0.4;  ///< rate that triggers quarantine
   std::uint32_t min_observations = 5;  ///< conclusive tests before judging
   std::uint32_t probation_epochs = 2;  ///< epochs a quarantine lasts
-
-  /// Overlay GEOLOC_FUSION_QUARANTINE_PM / GEOLOC_FUSION_MIN_OBS /
-  /// GEOLOC_FUSION_PROBATION onto the defaults.
-  static TrustConfig from_env();
 };
 
 /// What verification concluded about one claim.

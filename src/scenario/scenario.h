@@ -129,11 +129,16 @@ class Scenario {
   /// churned scenario must neither read nor write it.
   void invalidate_rtt_matrices();
 
+  /// Disk-cache file "<dir>/<name>-<config fingerprint>.bin" for a campaign
+  /// derived from this scenario. The dir is GEOLOC_CACHE_DIR, else
+  /// config().cache_dir; nullopt when that is empty, cannot be created, or
+  /// the cache is off after invalidate_rtt_matrices().
+  [[nodiscard]] std::optional<std::string> cache_path(
+      const std::string& name) const;
+
  private:
   Scenario(ScenarioConfig config, bool build_web);
   void build();
-  [[nodiscard]] std::optional<std::string> cache_path(
-      const std::string& name) const;
 
   ScenarioConfig config_;
   std::unique_ptr<sim::World> world_;

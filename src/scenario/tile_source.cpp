@@ -11,7 +11,6 @@
 #include "geo/geodesy_batch.h"
 #include "obs/metrics.h"
 #include "scenario/scenario.h"
-#include "util/env.h"
 #include "util/parallel.h"
 
 namespace geoloc::scenario {
@@ -50,19 +49,13 @@ constexpr std::size_t kMaxColumns = std::size_t{1} << 20;
 constexpr double kPrefilterSlack = 1e-9;
 constexpr double kPrefilterBand = 1e-6;  // rad
 
+// Default tile geometry and cache bound. Any shape yields the same bytes
+// (DESIGN.md §14); the budget bounds peak memory, never results.
+constexpr std::size_t kDefaultVpBlock = 256;
+constexpr std::size_t kDefaultTargetBlock = 512;
+constexpr std::size_t kDefaultBudgetTiles = 64;
+
 }  // namespace
-
-TileShape tile_shape_from_env() {
-  return TileShape{
-      static_cast<std::size_t>(util::env::int_or("GEOLOC_RTT_TILE_VPS", 256)),
-      static_cast<std::size_t>(
-          util::env::int_or("GEOLOC_RTT_TILE_TARGETS", 512))};
-}
-
-std::size_t tile_budget_from_env() {
-  return static_cast<std::size_t>(
-      util::env::int_or("GEOLOC_RTT_TILE_BUDGET", 64));
-}
 
 RttTileSource::RttTileSource(TileCampaign campaign, TileShape shape,
                              std::size_t budget_tiles)
@@ -84,13 +77,10 @@ RttTileSource::RttTileSource(TileCampaign campaign, TileShape shape,
         "RttTileSource: the (r << 20) | c cell-RNG packing caps campaigns "
         "at 2^20 columns");
   }
-  const TileShape env = tile_shape_from_env();
-  shape_.vp_block = std::max<std::size_t>(
-      1, shape.vp_block != 0 ? shape.vp_block : env.vp_block);
-  shape_.target_block = std::max<std::size_t>(
-      1, shape.target_block != 0 ? shape.target_block : env.target_block);
-  budget_ = std::max<std::size_t>(
-      1, budget_tiles != 0 ? budget_tiles : tile_budget_from_env());
+  shape_.vp_block = shape.vp_block != 0 ? shape.vp_block : kDefaultVpBlock;
+  shape_.target_block =
+      shape.target_block != 0 ? shape.target_block : kDefaultTargetBlock;
+  budget_ = budget_tiles != 0 ? budget_tiles : kDefaultBudgetTiles;
   vp_soa_ = campaign_.latency->host_soa(campaign_.vps);
   dst_soa_ = campaign_.latency->host_soa(campaign_.dsts);
 }

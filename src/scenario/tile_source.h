@@ -5,8 +5,8 @@
 // a sliver of it. RttTileSource replaces the up-front matrix with an
 // on-demand producer of fixed-size VP-block × target-block tiles:
 // consumers ask for the tile covering (r, c), the source generates it
-// (rows parallelised on util::parallel), keeps at most
-// GEOLOC_RTT_TILE_BUDGET tiles in a bounded LRU cache, and evicts
+// (rows parallelised on util::parallel), keeps at most a budget of
+// tiles (default 64) in a bounded LRU cache, and evicts
 // deterministically in least-recently-used order. Campaign cost then
 // scales with the measurements a consumer actually touches, not with
 // world size². Streamed selection reads no tiles at all: sweep_below
@@ -40,8 +40,7 @@ namespace geoloc::scenario {
 
 class Scenario;
 
-/// Tile geometry. Zero means "take the env default":
-/// GEOLOC_RTT_TILE_VPS (256) rows × GEOLOC_RTT_TILE_TARGETS (512) columns.
+/// Tile geometry. Zero means the default: 256 VP rows × 512 target columns.
 struct TileShape {
   std::size_t vp_block = 0;
   std::size_t target_block = 0;
@@ -93,9 +92,9 @@ class RttTileSource {
     std::size_t peak_resident_bytes = 0;  ///< high-water mark incl. scratch
   };
 
-  /// `budget_tiles` bounds the cache (0 = GEOLOC_RTT_TILE_BUDGET, default
-  /// 64, clamped to >= 1). Throws std::invalid_argument on a campaign with
-  /// more than 2^20 columns or a dsts size that is not a multiple of group.
+  /// `budget_tiles` bounds the cache (0 = the default, 64 tiles). Throws
+  /// std::invalid_argument on a campaign with more than 2^20 columns or a
+  /// dsts size that is not a multiple of group.
   explicit RttTileSource(TileCampaign campaign, TileShape shape = {},
                          std::size_t budget_tiles = 0);
 
@@ -174,10 +173,5 @@ class RttTileSource {
   std::unordered_map<std::size_t, std::list<CacheEntry>::iterator> cached_;
   mutable Stats stats_;
 };
-
-/// Env-knob readers, shared with the benches: tile geometry and cache
-/// budget (see util/env.h's registry).
-[[nodiscard]] TileShape tile_shape_from_env();
-[[nodiscard]] std::size_t tile_budget_from_env();
 
 }  // namespace geoloc::scenario

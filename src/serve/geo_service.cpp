@@ -7,7 +7,6 @@
 
 #include "geo/geodesy.h"
 #include "geo/geodesy_batch.h"
-#include "util/env.h"
 #include "util/parallel.h"
 
 namespace geoloc::serve {
@@ -64,18 +63,11 @@ ServeSeries& serve_series() {
   return s;
 }
 
-std::size_t remeasure_cap_from_env() {
-  // int_or rejects non-positive values, so "0" (= unbounded) must be an
-  // explicit opt-in via the ctor argument, not an env typo.
-  return static_cast<std::size_t>(
-      util::env::int_or("GEOLOC_SERVE_REMEASURE_CAP", 65536));
-}
-
 }  // namespace
 
 // -- RemeasureQueue --------------------------------------------------------
 
-RemeasureQueue::RemeasureQueue() : cap_(remeasure_cap_from_env()) {}
+RemeasureQueue::RemeasureQueue() : cap_(kDefaultCapacity) {}
 
 RemeasureQueue::RemeasureQueue(std::size_t max_pending) : cap_(max_pending) {}
 

@@ -92,7 +92,9 @@ struct ServiceStats {
 /// its next stale hit after a drain.
 class RemeasureQueue {
  public:
-  /// Bound from GEOLOC_SERVE_REMEASURE_CAP (default 65536).
+  static constexpr std::size_t kDefaultCapacity = 65536;
+
+  /// Bound of kDefaultCapacity pending prefixes.
   RemeasureQueue();
   /// Explicit bound; 0 = unbounded.
   explicit RemeasureQueue(std::size_t max_pending);

@@ -15,9 +15,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "obs/log.h"
-#include "util/env.h"
-
 namespace geoloc::serve {
 
 namespace {
@@ -62,46 +59,7 @@ NetSeries& net_series() {
   return s;
 }
 
-int clamped_env_ms(const char* name, int fallback) {
-  // Deadlines are positive and bounded to a minute: a knob typo must not
-  // configure a server whose slowloris defense never fires.
-  return std::min(util::env::int_or(name, fallback), 60'000);
-}
-
 }  // namespace
-
-// -- config ----------------------------------------------------------------
-
-ServerConfig ServerConfig::from_env() {
-  namespace env = util::env;
-  ServerConfig c;
-  const int port = env::int_or("GEOLOC_SERVE_PORT", 0);
-  if (port > 65535) {
-    obs::warn_once("GEOLOC_SERVE_PORT-range",
-                   "GEOLOC_SERVE_PORT=" + std::to_string(port) +
-                       " is not a TCP port; using an ephemeral port");
-  } else if (port > 0) {
-    c.port = static_cast<std::uint16_t>(port);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned default_workers = std::min(hw > 0 ? hw : 1u, 4u);
-  c.workers = std::min(
-      static_cast<unsigned>(env::int_or("GEOLOC_SERVE_THREADS",
-                                        static_cast<int>(default_workers))),
-      env::max_threads());
-  c.max_connections =
-      static_cast<std::size_t>(env::int_or("GEOLOC_SERVE_MAX_CONNS", 1024));
-  c.max_batch =
-      static_cast<std::size_t>(env::int_or("GEOLOC_SERVE_MAX_BATCH", 2048));
-  c.read_deadline_ms = clamped_env_ms("GEOLOC_SERVE_READ_DEADLINE_MS", 5000);
-  c.write_deadline_ms = clamped_env_ms("GEOLOC_SERVE_WRITE_DEADLINE_MS", 5000);
-  c.drain_deadline_ms = clamped_env_ms("GEOLOC_SERVE_DRAIN_MS", 2000);
-  c.max_output_queue_bytes =
-      static_cast<std::size_t>(env::int_or("GEOLOC_SERVE_MAX_OUTQ", 1 << 20));
-  c.max_outstanding_bytes = static_cast<std::size_t>(
-      env::int_or("GEOLOC_SERVE_MAX_OUTSTANDING", 8 << 20));
-  return c;
-}
 
 // -- per-worker timer wheel ------------------------------------------------
 

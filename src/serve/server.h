@@ -49,7 +49,7 @@
 
 namespace geoloc::serve {
 
-/// Tunables, each with a GEOLOC_SERVE_* environment knob (from_env()).
+/// Tunables; callers set the fields in code.
 struct ServerConfig {
   std::uint16_t port = 0;          ///< 0 = kernel-assigned (tests/benches)
   unsigned workers = 2;            ///< epoll worker threads
@@ -63,11 +63,6 @@ struct ServerConfig {
   std::size_t max_outstanding_bytes = 8u << 20;   ///< global shed threshold
   int listen_backlog = 128;
   bool loopback_only = true;       ///< bind 127.0.0.1 (false: INADDR_ANY)
-
-  /// Read GEOLOC_SERVE_PORT / _THREADS / _MAX_CONNS / _MAX_BATCH /
-  /// _READ_DEADLINE_MS / _WRITE_DEADLINE_MS / _DRAIN_MS / _MAX_OUTQ /
-  /// _MAX_OUTSTANDING over the defaults above.
-  static ServerConfig from_env();
 };
 
 /// Monotonic per-instance counters (same copy-out contract as

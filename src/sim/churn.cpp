@@ -5,38 +5,8 @@
 #include <unordered_set>
 
 #include "geo/geodesy.h"
-#include "util/env.h"
 
 namespace geoloc::sim {
-
-namespace {
-
-/// Permille env knob overlaying a rate default (util::env::int_or only
-/// accepts positive integers, so 0 must come from ChurnConfig directly).
-double permille_or(const char* name, double fallback) {
-  const int pm = util::env::int_or(name, -1);
-  return pm > 0 ? static_cast<double>(pm) / 1000.0 : fallback;
-}
-
-}  // namespace
-
-ChurnConfig ChurnConfig::from_env() {
-  ChurnConfig c;
-  c.seed = static_cast<std::uint64_t>(
-      util::env::int_or("GEOLOC_CHURN_SEED", static_cast<int>(c.seed)));
-  c.prefix_reassignment_rate =
-      permille_or("GEOLOC_CHURN_PREFIX_PM", c.prefix_reassignment_rate);
-  c.wave_fraction = permille_or("GEOLOC_CHURN_WAVE_PM", c.wave_fraction);
-  c.host_relocation_rate =
-      permille_or("GEOLOC_CHURN_HOST_PM", c.host_relocation_rate);
-  c.vp_decommission_rate =
-      permille_or("GEOLOC_CHURN_VP_DECOM_PM", c.vp_decommission_rate);
-  c.vp_addition_rate = permille_or("GEOLOC_CHURN_VP_ADD_PM", c.vp_addition_rate);
-  c.drift_onset_rate = permille_or("GEOLOC_CHURN_DRIFT_PM", c.drift_onset_rate);
-  c.drift_step_km = static_cast<double>(util::env::int_or(
-      "GEOLOC_CHURN_DRIFT_KM", static_cast<int>(c.drift_step_km)));
-  return c;
-}
 
 ChurnModel::ChurnModel(World& world, std::span<const HostId> targets,
                        std::span<const HostId> vps, const ChurnConfig& config)

@@ -73,11 +73,6 @@ struct ChurnConfig {
   double drift_step_km = 12.0;
   /// Chance a reassigned prefix lands on another continent.
   double intercontinental_rate = 0.3;
-
-  /// Defaults overlaid with the GEOLOC_CHURN_* environment knobs (rates are
-  /// given as integer permille, e.g. GEOLOC_CHURN_PREFIX_PM=20 -> 0.02;
-  /// see util/env.h for the registry).
-  [[nodiscard]] static ChurnConfig from_env();
 };
 
 /// What one epoch of churn did to the world — the ground truth a

@@ -5,18 +5,10 @@
 
 #include "geo/geodesy.h"
 #include "net/ipv4.h"
-#include "util/env.h"
 
 namespace geoloc::sim {
 
 namespace {
-
-/// Permille env knob overlaying a rate default (util::env::int_or only
-/// accepts positive integers, so 0 must come from the config directly).
-double permille_or(const char* name, double fallback) {
-  const int pm = util::env::int_or(name, -1);
-  return pm > 0 ? static_cast<double>(pm) / 1000.0 : fallback;
-}
 
 /// The hinted/fed location: the anchor point displaced by an exponential
 /// radial offset — operator evidence names a place, not street coordinates.
@@ -61,30 +53,6 @@ void append_feed_line(std::string& out, const World& world, const Host& host,
 }
 
 }  // namespace
-
-HintConfig HintConfig::from_env() {
-  HintConfig c;
-  c.coverage = permille_or("GEOLOC_HINT_COVERAGE_PM", c.coverage);
-  c.lie_rate = permille_or("GEOLOC_HINT_LIE_PM", c.lie_rate);
-  c.noise_km = static_cast<double>(util::env::int_or(
-      "GEOLOC_HINT_NOISE_KM", static_cast<int>(c.noise_km)));
-  return c;
-}
-
-FeedConfig FeedConfig::from_env() {
-  FeedConfig c;
-  c.coverage = permille_or("GEOLOC_FEED_COVERAGE_PM", c.coverage);
-  c.stale_rate = permille_or("GEOLOC_FEED_STALE_PM", c.stale_rate);
-  c.feed_count = util::env::int_or("GEOLOC_FEED_COUNT", c.feed_count);
-  // 0 adversaries is the default, so -1 marks "knob unset".
-  if (const int adv = util::env::int_or("GEOLOC_FEED_ADVERSARIAL", -1);
-      adv > 0) {
-    c.adversarial_feeds = adv;
-  }
-  c.adversarial_lie_rate =
-      permille_or("GEOLOC_FEED_LIE_PM", c.adversarial_lie_rate);
-  return c;
-}
 
 std::vector<LocationHint> generate_hints(const World& world,
                                          std::span<const HostId> targets,

@@ -31,15 +31,11 @@
 
 namespace geoloc::sim {
 
-/// Knobs for the rDNS-style hint generator (GEOLOC_HINT_*).
+/// Settings for the rDNS-style hint generator.
 struct HintConfig {
   double coverage = 0.6;   ///< fraction of targets with a hint
   double lie_rate = 0.1;   ///< fraction of hints that are wrong
   double noise_km = 15.0;  ///< mean radial jitter around the hinted place
-
-  /// Overlay GEOLOC_HINT_COVERAGE_PM / GEOLOC_HINT_LIE_PM /
-  /// GEOLOC_HINT_NOISE_KM onto the defaults.
-  static HintConfig from_env();
 };
 
 /// One rDNS-style hint: "this target's name decodes to `location`".
@@ -56,7 +52,7 @@ std::vector<LocationHint> generate_hints(const World& world,
                                          const HintConfig& config,
                                          util::RngStream rng);
 
-/// Knobs for the geofeed generator (GEOLOC_FEED_*).
+/// Settings for the geofeed generator.
 struct FeedConfig {
   double coverage = 0.5;    ///< fraction of target /24s listed in some feed
   double stale_rate = 0.05; ///< honest feeds: entries left from a past tenant
@@ -67,8 +63,6 @@ struct FeedConfig {
   /// hosts get a random city).
   int adversarial_feeds = 0;
   double adversarial_lie_rate = 0.8;
-
-  static FeedConfig from_env();
 };
 
 /// Ground-truth label of one generated feed line (scoring only).

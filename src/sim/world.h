@@ -146,9 +146,6 @@ class World {
   /// BGP-style origin lookup (longest-prefix match).
   [[nodiscard]] std::optional<std::pair<net::Prefix, net::Asn>> bgp_lookup(
       net::IPv4Address addr) const;
-  [[nodiscard]] const net::PrefixTable<net::Asn>& bgp_table() const noexcept {
-    return bgp_;
-  }
 
   // -- hosts --------------------------------------------------------------
   /// Register a host; fills in its id and returns it.

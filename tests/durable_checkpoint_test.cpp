@@ -251,12 +251,12 @@ TEST_F(CheckpointResumeTest, CheckpointDirEnvDerivesPerCampaignFiles) {
 
   const std::string ckpt_dir = (dir_ / "ckpts").string();
   ASSERT_EQ(setenv("GEOLOC_CHECKPOINT_DIR", ckpt_dir.c_str(), 1), 0);
-  ASSERT_EQ(setenv("GEOLOC_CHECKPOINT_EVERY", "2", 1), 0);
 
   const auto env_slice = [&](std::uint64_t stop) {
     Platform platform(scenario_.world(), scenario_.latency());
     platform.set_fault_model(&faults);
     ExecutorConfig cfg = base_config();  // no explicit path: env drives it
+    cfg.checkpoint.every_rounds = 2;
     cfg.checkpoint.stop_after_rounds = stop;
     return CampaignExecutor(platform, cfg).execute(requests(), spares());
   };
@@ -279,7 +279,6 @@ TEST_F(CheckpointResumeTest, CheckpointDirEnvDerivesPerCampaignFiles) {
       << "completion must consume the derived checkpoint";
 
   ASSERT_EQ(unsetenv("GEOLOC_CHECKPOINT_DIR"), 0);
-  ASSERT_EQ(unsetenv("GEOLOC_CHECKPOINT_EVERY"), 0);
 }
 
 TEST_F(CheckpointResumeTest, ReportCodecRoundtripsAndRejectsTruncation) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 
+#include "scenario/presets.h"
 #include "test_scenario.h"
 #include "util/stats.h"
 
@@ -107,6 +110,36 @@ TEST(StreetCampaign, SaveLoadRoundTrip) {
   StreetCampaign wrong;
   EXPECT_FALSE(wrong.load(path, 98));
   std::remove(path.c_str());
+}
+
+TEST(StreetCampaign, ChurnedScenarioNeitherReadsNorWritesDiskCache) {
+  // invalidate_rtt_matrices() detaches a mutated world from the
+  // config-keyed disk cache, GEOLOC_CACHE_DIR included; the street
+  // campaign must honour that like the RTT matrices do.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "street-campaign-churned-cache";
+  fs::remove_all(dir);
+  auto cfg = scenario::small_config(/*seed=*/4711);
+  cfg.catalog.anchor_quota = {/*af=*/1, /*as=*/4, /*eu=*/10, /*na=*/4,
+                              /*oc=*/1, /*sa=*/1};
+  cfg.cache_dir = "";
+  scenario::Scenario s(cfg);
+  s.invalidate_rtt_matrices();
+
+  ASSERT_EQ(::setenv("GEOLOC_CACHE_DIR", dir.c_str(), 1), 0);
+  const StreetCampaign& c = street_campaign(s);
+  ASSERT_EQ(::unsetenv("GEOLOC_CACHE_DIR"), 0);
+
+  EXPECT_EQ(c.records.size(), s.targets().size());
+  if (fs::exists(dir)) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      EXPECT_NE(entry.path().filename().string().rfind("street-campaign-", 0),
+                0u)
+          << entry.path();
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

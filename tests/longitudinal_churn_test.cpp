@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "geo/geodesy.h"
@@ -184,18 +183,6 @@ TEST(ChurnModel, DriftMovesReportedLocationOnly) {
   const Host& h = s.world().host(m.active_vps()[0]);
   EXPECT_NEAR(geo::distance_km(h.reported_location, h.true_location), 50.0,
               2.0);
-}
-
-TEST(ChurnConfigTest, EnvOverlayReadsPermilleKnobs) {
-  ::setenv("GEOLOC_CHURN_PREFIX_PM", "125", 1);
-  ::setenv("GEOLOC_CHURN_DRIFT_KM", "40", 1);
-  const ChurnConfig c = ChurnConfig::from_env();
-  ::unsetenv("GEOLOC_CHURN_PREFIX_PM");
-  ::unsetenv("GEOLOC_CHURN_DRIFT_KM");
-  EXPECT_DOUBLE_EQ(c.prefix_reassignment_rate, 0.125);
-  EXPECT_DOUBLE_EQ(c.drift_step_km, 40.0);
-  // Untouched knobs keep their defaults.
-  EXPECT_DOUBLE_EQ(c.wave_fraction, ChurnConfig{}.wave_fraction);
 }
 
 }  // namespace

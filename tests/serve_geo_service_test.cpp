@@ -221,7 +221,8 @@ TEST(RemeasureQueue, DropsAtCapacityAndCountsTheDrops) {
 
 TEST(RemeasureQueue, DefaultCapacityComesFromEnv) {
   RemeasureQueue q;
-  EXPECT_EQ(q.capacity(), 65536u);  // GEOLOC_SERVE_REMEASURE_CAP default
+  EXPECT_EQ(q.capacity(), RemeasureQueue::kDefaultCapacity);
+  EXPECT_EQ(RemeasureQueue::kDefaultCapacity, 65536u);
   EXPECT_EQ(q.dropped(), 0u);
 }
 
