@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <map>
+#include <utility>
 
 #include "eval/metrics.h"
 #include "util/durable.h"
@@ -93,20 +94,24 @@ bool StreetCampaign::load(const std::string& path, std::uint64_t tag) {
 
 const StreetCampaign& street_campaign(const scenario::Scenario& s,
                                       std::size_t max_distances_per_target) {
-  // One campaign per scenario fingerprint per process.
+  // One campaign per world per process. Scenarios built from one config
+  // share it; a mutated (churned) world has its own world_version(), so it
+  // never reads the unmutated world's campaign and owns the one it gets.
   static std::mutex mu;
-  static std::unordered_map<std::uint64_t, std::unique_ptr<StreetCampaign>>
+  static std::map<std::pair<std::uint64_t, std::uint64_t>,
+                  std::unique_ptr<StreetCampaign>>
       cache;
   const std::uint64_t tag = s.config().fingerprint() ^ 0x57CA3ULL;
+  const std::pair key{tag, s.world_version()};
 
   std::scoped_lock lock(mu);
-  if (const auto it = cache.find(tag); it != cache.end()) return *it->second;
+  if (const auto it = cache.find(key); it != cache.end()) return *it->second;
 
   auto campaign = std::make_unique<StreetCampaign>();
 
   const auto path = s.cache_path("street-campaign");
   if (path && campaign->load(*path, tag)) {
-    return *cache.emplace(tag, std::move(campaign)).first->second;
+    return *cache.emplace(key, std::move(campaign)).first->second;
   }
 
   const core::StreetLevel street(s);
@@ -184,7 +189,7 @@ const StreetCampaign& street_campaign(const scenario::Scenario& s,
   }
 
   if (path) campaign->save(*path, tag);
-  return *cache.emplace(tag, std::move(campaign)).first->second;
+  return *cache.emplace(key, std::move(campaign)).first->second;
 }
 
 }  // namespace geoloc::eval

@@ -5,7 +5,6 @@
 
 #include "atlas/faults.h"
 #include "atlas/platform.h"
-#include "geo/geodesy.h"
 #include "obs/metrics.h"
 #include "util/parallel.h"
 
@@ -106,38 +105,6 @@ std::vector<std::vector<Claim>> assemble_claims(
   return out;
 }
 
-/// The k responsive campaign VPs nearest to `p` (by reported location —
-/// what an operator of the platform actually knows). Deterministic:
-/// distance ties break on VP list order.
-std::vector<sim::HostId> nearest_vps(const sim::World& world,
-                                     std::span<const sim::HostId> vps,
-                                     const geo::GeoPoint& p, int k) {
-  struct Ranked {
-    double dist;
-    std::size_t index;
-    sim::HostId vp;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(vps.size());
-  for (std::size_t i = 0; i < vps.size(); ++i) {
-    const sim::Host& host = world.host(vps[i]);
-    if (!host.responsive) continue;
-    ranked.push_back(
-        Ranked{geo::distance_km(host.reported_location, p), i, vps[i]});
-  }
-  const std::size_t want =
-      std::min(ranked.size(), static_cast<std::size_t>(std::max(k, 1)));
-  std::partial_sort(ranked.begin(), ranked.begin() + want, ranked.end(),
-                    [](const Ranked& a, const Ranked& b) {
-                      return a.dist != b.dist ? a.dist < b.dist
-                                              : a.index < b.index;
-                    });
-  std::vector<sim::HostId> out;
-  out.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) out.push_back(ranked[i].vp);
-  return out;
-}
-
 struct VpSplit {
   std::span<const sim::HostId> campaign;
   std::span<const sim::HostId> spares;
@@ -151,6 +118,29 @@ VpSplit split_vps(const scenario::Scenario& s, std::size_t max_vps) {
 }
 
 }  // namespace
+
+VerifierPool::VerifierPool(const sim::World& world,
+                           std::span<const sim::HostId> vps) {
+  std::vector<geo::GeoPoint> locs;
+  for (const sim::HostId vp : vps) {
+    const sim::Host& host = world.host(vp);
+    if (!host.responsive) continue;
+    vps_.push_back(vp);
+    locs.push_back(host.reported_location);
+  }
+  ranker_ = geo::NearestRanker(locs);
+}
+
+std::vector<sim::HostId> VerifierPool::nearest(const geo::GeoPoint& p,
+                                               int k) const {
+  const std::size_t want =
+      std::min(vps_.size(), static_cast<std::size_t>(std::max(k, 1)));
+  const auto ranked = ranker_.rank(p, want);
+  std::vector<sim::HostId> out;
+  out.reserve(want);
+  for (std::size_t i = 0; i < want; ++i) out.push_back(vps_[ranked[i].second]);
+  return out;
+}
 
 EvidenceBundle EvidenceBundle::from_generated(
     std::vector<sim::LocationHint> hints,
@@ -204,6 +194,7 @@ FusedCampaignResult run_fused_campaign(const scenario::Scenario& s,
       s, evidence, options.feed_limits, &result.feeds_quarantined);
 
   // -- 3. trust-gated fusion, serial in target order ----------------------
+  const VerifierPool verifier_pool(world, campaign_vps);
   TrustTracker own_tracker(options.trust);
   TrustTracker& trust =
       options.trust_state ? *options.trust_state : own_tracker;
@@ -236,8 +227,8 @@ FusedCampaignResult run_fused_campaign(const scenario::Scenario& s,
 
       // Stage 2: targeted pings from the k nearest VPs, through the same
       // executor (and weather) as everything else.
-      const std::vector<sim::HostId> verifiers = nearest_vps(
-          world, campaign_vps, claim.location, options.engine.verify_k);
+      const std::vector<sim::HostId> verifiers =
+          verifier_pool.nearest(claim.location, options.engine.verify_k);
       std::vector<atlas::MeasurementRequest> requests;
       requests.reserve(verifiers.size());
       for (const sim::HostId vp : verifiers) {

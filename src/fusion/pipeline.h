@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,7 @@
 #include "fusion/engine.h"
 #include "fusion/geofeed.h"
 #include "fusion/trust.h"
+#include "geo/nearest.h"
 #include "publish/snapshot.h"
 #include "scenario/scenario.h"
 #include "sim/evidence.h"
@@ -60,6 +62,24 @@ struct EvidenceBundle {
   static EvidenceBundle from_generated(
       std::vector<sim::LocationHint> hints,
       const std::vector<sim::GeneratedFeed>& feeds);
+};
+
+/// The verifiers stage 2 pings from: the responsive VPs of a campaign,
+/// ranked by reported location (what an operator of the platform actually
+/// knows). Built once per pipeline run; rows keep VP list order, so
+/// distance ties break on it.
+class VerifierPool {
+ public:
+  VerifierPool(const sim::World& world, std::span<const sim::HostId> vps);
+
+  /// The max(k, 1) VPs nearest to `p`, nearest first (all of them when
+  /// fewer respond).
+  [[nodiscard]] std::vector<sim::HostId> nearest(const geo::GeoPoint& p,
+                                                 int k) const;
+
+ private:
+  std::vector<sim::HostId> vps_;
+  geo::NearestRanker ranker_;
 };
 
 struct PipelineOptions {

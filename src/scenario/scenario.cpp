@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -273,6 +274,8 @@ void Scenario::invalidate_rtt_matrices() {
   // hence the flag rather than just clearing config_.cache_dir.
   config_.cache_dir.clear();
   cache_disabled_ = true;
+  static std::atomic<std::uint64_t> next_version{1};
+  world_version_ = next_version.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t Scenario::vp_index(sim::HostId vp) const {

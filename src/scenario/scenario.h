@@ -129,6 +129,14 @@ class Scenario {
   /// churned scenario must neither read nor write it.
   void invalidate_rtt_matrices();
 
+  /// 0 while the world is the one config() builds; after each
+  /// invalidate_rtt_matrices(), a process-unique nonzero id. In-process
+  /// memos keyed by the config fingerprint must key on this too, or a
+  /// mutated world gets the unmutated world's results back.
+  [[nodiscard]] std::uint64_t world_version() const noexcept {
+    return world_version_;
+  }
+
   /// Disk-cache file "<dir>/<name>-<config fingerprint>.bin" for a campaign
   /// derived from this scenario. The dir is GEOLOC_CACHE_DIR, else
   /// config().cache_dir; nullopt when that is empty, cannot be created, or
@@ -162,6 +170,7 @@ class Scenario {
   /// describes the (mutated) world, so the disk cache is off for good,
   /// GEOLOC_CACHE_DIR override included.
   bool cache_disabled_ = false;
+  std::uint64_t world_version_ = 0;
 };
 
 }  // namespace geoloc::scenario

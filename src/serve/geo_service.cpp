@@ -5,8 +5,7 @@
 #include <optional>
 #include <utility>
 
-#include "geo/geodesy.h"
-#include "geo/geodesy_batch.h"
+#include "geo/nearest.h"
 #include "util/parallel.h"
 
 namespace geoloc::serve {
@@ -231,13 +230,6 @@ std::vector<atlas::MeasurementRequest> plan_remeasurement(
 
 namespace {
 
-/// Margin, in squared-chord units, that the proximity planner's key filter
-/// keeps past the M-th smallest key. Keys and the haversine term h = key/4
-/// are both computed to ~1e-15, so a VP whose key exceeds the cut by this
-/// much is at least 2R * 2.5e-13 km (hundreds of ulps) farther than each
-/// of the M below it and can never enter the exact top M.
-constexpr double kChordKeyMargin = 1e-12;
-
 /// The planner behind both pool overloads. Every target inside a stale
 /// prefix gets `k` requests: the stride spread when `prior` is null or has
 /// no estimate for the prefix, else the guards plus the nearest pool VPs
@@ -293,14 +285,15 @@ std::vector<atlas::MeasurementRequest> plan_requests(
   }
   requests.resize(total);
 
-  std::vector<geo::GeoPoint> vp_locs;
-  geo::PointsSoA vp_pts;
+  // One ranker per call: churn changes the pool every epoch.
+  geo::NearestRanker ranker;
   if (prior != nullptr) {
+    std::vector<geo::GeoPoint> vp_locs;
     vp_locs.reserve(n_vps);
     for (const sim::HostId vp : vps) {
       vp_locs.push_back(s.world().host(vp).reported_location);
     }
-    vp_pts = geo::PointsSoA::build(vp_locs);
+    ranker = geo::NearestRanker(vp_locs);
   }
 
   std::vector<std::size_t> refined(stale.size(), 0);
@@ -333,31 +326,9 @@ std::vector<atlas::MeasurementRequest> plan_requests(
       return;
     }
 
-    // Rank once per prefix. Squared chord to the prior's unit vector is
-    // monotone in great-circle distance and needs no libm call, so it
-    // filters the pool down to the candidates for the top M; only those
-    // pay the exact distance_km, ranked by (distance, pool index).
-    geo::PointsSoA here;
-    here.push_back(hit->location);
-    const double px = here.x[0], py = here.y[0], pz = here.z[0];
-    std::vector<double> keys(n_vps);
-    for (std::size_t row = 0; row < n_vps; ++row) {
-      const double dx = vp_pts.x[row] - px;
-      const double dy = vp_pts.y[row] - py;
-      const double dz = vp_pts.z[row] - pz;
-      keys[row] = dx * dx + dy * dy + dz * dz;
-    }
-    std::vector<double> nth(keys);
-    std::nth_element(nth.begin(), nth.begin() + (m - 1), nth.end());
-    const double cut = nth[m - 1] + kChordKeyMargin;
-    std::vector<std::pair<double, std::size_t>> ranked;
-    for (std::size_t row = 0; row < n_vps; ++row) {
-      if (keys[row] <= cut) {
-        ranked.emplace_back(geo::distance_km(vp_locs[row], hit->location),
-                            row);
-      }
-    }
-    std::sort(ranked.begin(), ranked.end());
+    // Rank once per prefix, by (distance, pool index).
+    const std::vector<geo::NearestRanker::Ranked> ranked =
+        ranker.rank(hit->location, m);
     refined[i] = ranked.size();
 
     std::vector<std::size_t> rows;

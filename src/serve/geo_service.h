@@ -212,6 +212,7 @@ std::vector<atlas::MeasurementRequest> plan_remeasurement(
 ///   2. then pool VPs in ascending geo::distance_km(VP reported location,
 ///      prior location) — that argument order — ties broken by pool
 ///      order, skipping guards already taken, until k are chosen.
+/// Step 2 ranks through one geo::NearestRanker, built per call over `vps`.
 /// Requests come in stale-list order, then target column order, k per
 /// target. The output is identical at any GEOLOC_THREADS: prefixes are
 /// planned in parallel, each into its own precomputed output slice.

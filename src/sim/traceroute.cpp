@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "geo/geodesy.h"
 
@@ -15,22 +14,24 @@ std::optional<double> Traceroute::destination_rtt_ms() const {
 
 TracerouteEngine::TracerouteEngine(const World& world,
                                    const LatencyModel& latency)
-    : world_(&world), latency_(&latency) {}
+    : world_(&world), latency_(&latency) {
+  std::vector<geo::GeoPoint> locs;
+  locs.reserve(world.cities().size());
+  for (const PlaceId city : world.cities()) {
+    locs.push_back(world.place(city).location);
+  }
+  city_ranker_ = geo::NearestRanker(locs);
+}
 
 PlaceId TracerouteEngine::nearest_city(const geo::GeoPoint& p,
                                        PlaceId exclude_a,
                                        PlaceId exclude_b) const {
-  PlaceId best = exclude_a;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (PlaceId city : world_->cities()) {
-    if (city == exclude_a || city == exclude_b) continue;
-    const double d = geo::distance_km(world_->place(city).location, p);
-    if (d < best_d) {
-      best_d = d;
-      best = city;
-    }
+  // The two excluded cities can take at most two of the three nearest.
+  const auto cities = world_->cities();
+  for (const auto& [km, i] : city_ranker_.rank(p, 3)) {
+    if (cities[i] != exclude_a && cities[i] != exclude_b) return cities[i];
   }
-  return best;
+  return exclude_a;
 }
 
 const std::vector<PlaceId>& TracerouteEngine::waypoints(

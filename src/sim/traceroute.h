@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "geo/nearest.h"
 #include "sim/latency_model.h"
 #include "sim/world.h"
 #include "util/rng.h"
@@ -56,19 +57,25 @@ class TracerouteEngine {
   static std::optional<std::size_t> last_common_hop(const Traceroute& a,
                                                     const Traceroute& b);
 
+  /// The city nearest `p` other than the two excluded ones, by
+  /// (distance_km(city, p), position in World::cities()); `exclude_a` when
+  /// no other city exists. Exposed for tests.
+  [[nodiscard]] PlaceId nearest_city(const geo::GeoPoint& p, PlaceId exclude_a,
+                                     PlaceId exclude_b) const;
+
  private:
   /// Backbone waypoint cities between two (parent) cities. Memoised: the
   /// street-level campaign issues ~1k traceroutes per target and the
-  /// nearest-city scans would otherwise dominate it.
+  /// nearest-city queries would otherwise dominate it.
   [[nodiscard]] const std::vector<PlaceId>& waypoints(PlaceId src_city,
                                                       PlaceId dst_city) const;
   [[nodiscard]] std::vector<PlaceId> compute_waypoints(PlaceId src_city,
                                                        PlaceId dst_city) const;
-  [[nodiscard]] PlaceId nearest_city(const geo::GeoPoint& p, PlaceId exclude_a,
-                                     PlaceId exclude_b) const;
 
   const World* world_;
   const LatencyModel* latency_;
+  /// World::cities() by location, in that order.
+  geo::NearestRanker city_ranker_;
   double hop_no_reply_rate_ = 0.03;
   // (src_city << 32 | dst_city) -> waypoint list. Not thread-safe; each
   // thread should own its engine (they are cheap to copy).

@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
+#include <vector>
 
 #include "scenario/presets.h"
+#include "sim/churn.h"
 #include "test_scenario.h"
 #include "util/stats.h"
 
@@ -140,6 +143,48 @@ TEST(StreetCampaign, ChurnedScenarioNeitherReadsNorWritesDiskCache) {
     }
   }
   fs::remove_all(dir);
+}
+
+TEST(StreetCampaign, ChurnedScenarioOwnsItsCampaignInProcess) {
+  // The in-process memo is keyed by config fingerprint, which churn does
+  // not change: in a process that already holds the unchurned world's
+  // campaign, a churned scenario with the same config must still get a
+  // campaign of its own world.
+  auto cfg = scenario::small_config(/*seed=*/4711);
+  cfg.catalog.anchor_quota = {/*af=*/1, /*as=*/4, /*eu=*/10, /*na=*/4,
+                              /*oc=*/1, /*sa=*/1};
+  cfg.cache_dir = "";
+  sim::ChurnConfig cc;
+  cc.prefix_reassignment_rate = 0.5;
+  cc.host_relocation_rate = 0.5;
+  const auto churned = [&] {
+    auto s = std::make_unique<scenario::Scenario>(cfg);
+    sim::ChurnModel churn(s->world(), s->targets(), s->vps(), cc);
+    (void)churn.advance(1);
+    s->invalidate_rtt_matrices();
+    return s;
+  };
+  const auto errors = [](const StreetCampaign& c) {
+    std::vector<float> out;
+    for (const StreetRecord& r : c.records) out.push_back(r.street_error_km);
+    return out;
+  };
+
+  const scenario::Scenario calm(cfg);
+  const StreetCampaign& calm_campaign = street_campaign(calm);
+  const auto moved = churned();
+  const StreetCampaign& moved_campaign = street_campaign(*moved);
+
+  EXPECT_NE(&moved_campaign, &calm_campaign);
+  EXPECT_EQ(&street_campaign(*moved), &moved_campaign);
+  EXPECT_EQ(&street_campaign(calm), &calm_campaign);
+  EXPECT_NE(errors(moved_campaign), errors(calm_campaign));
+
+  // A twin churned the same way computes the same campaign, on its own.
+  const auto twin = churned();
+  const StreetCampaign& twin_campaign = street_campaign(*twin);
+  EXPECT_NE(&twin_campaign, &moved_campaign);
+  EXPECT_EQ(errors(twin_campaign), errors(moved_campaign));
 }
 
 }  // namespace
