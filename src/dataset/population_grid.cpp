@@ -13,21 +13,21 @@ namespace {
 constexpr int kCellsPerRow = 4096;  // > 360, keeps keys unique
 constexpr int kHalo = 2;            // cells a kernel registers into, each way
 
-int cell_key(double lat_deg, double lon_deg) {
+std::uint64_t cell_key(double lat_deg, double lon_deg) {
   const int lat_cell = static_cast<int>(std::floor(lat_deg)) + 90;
   const int lon_cell = static_cast<int>(std::floor(lon_deg)) + 180;
-  return lat_cell * kCellsPerRow + lon_cell;
+  return static_cast<std::uint64_t>(lat_cell * kCellsPerRow + lon_cell);
 }
 
 }  // namespace
 
-PopulationGrid::PopulationGrid(const sim::World& world,
+PopulationGrid::PopulationGrid(std::span<const sim::Place> places,
                                const PopulationGridConfig& config)
     : config_(config) {
-  kernels_.reserve(world.places().size());
-  std::vector<geo::GeoPoint> centers;
-  centers.reserve(world.places().size());
-  for (const sim::Place& place : world.places()) {
+  kernels_.reserve(places.size());
+  std::vector<spatial::BucketIndex::Entry> cells;
+  cells.reserve(places.size() * (2 * kHalo + 1) * (2 * kHalo + 1));
+  for (const sim::Place& place : places) {
     Kernel k;
     k.center = place.location;
     k.people = place.population_k * 1000.0;
@@ -35,28 +35,25 @@ PopulationGrid::PopulationGrid(const sim::World& world,
                  std::pow(std::max(place.population_k, 1.0),
                           config.sigma_pop_exponent);
     k.norm = k.people / (2.0 * geo::kPi * k.sigma_km * k.sigma_km);
-    kernels_.push_back(k);
-    centers.push_back(k.center);
-  }
-  index_ = spatial::IntervalIndex::build(centers);
-}
-
-bool PopulationGrid::halo_covers(const geo::GeoPoint& center, int key) {
-  // Replays the original registration loop: each kernel lands in every
-  // 1-degree cell within a 2-cell halo of its centre, latitudes clamped to
-  // [-90, 89], longitudes normalized (so halos wrap the anti-meridian).
-  const int base_lat = static_cast<int>(std::floor(center.lat_deg));
-  const int base_lon = static_cast<int>(std::floor(center.lon_deg));
-  for (int dlat = -kHalo; dlat <= kHalo; ++dlat) {
-    for (int dlon = -kHalo; dlon <= kHalo; ++dlon) {
-      const double lat = std::clamp(static_cast<double>(base_lat + dlat),
-                                    -90.0, 89.0);
-      const double lon = geo::normalize_lon(
-          static_cast<double>(base_lon + dlon));
-      if (cell_key(lat, lon) == key) return true;
+    // The original registration loop: every 1-degree cell within a 2-cell
+    // halo of the centre, latitudes clamped to [-90, 89], longitudes
+    // normalized (so halos wrap the anti-meridian). Clamping repeats
+    // cells near the poles; the index keeps each (cell, kernel) once.
+    const int base_lat = static_cast<int>(std::floor(k.center.lat_deg));
+    const int base_lon = static_cast<int>(std::floor(k.center.lon_deg));
+    const auto idx = static_cast<std::uint32_t>(kernels_.size());
+    for (int dlat = -kHalo; dlat <= kHalo; ++dlat) {
+      for (int dlon = -kHalo; dlon <= kHalo; ++dlon) {
+        const double lat = std::clamp(static_cast<double>(base_lat + dlat),
+                                      -90.0, 89.0);
+        const double lon = geo::normalize_lon(
+            static_cast<double>(base_lon + dlon));
+        cells.emplace_back(cell_key(lat, lon), idx);
+      }
     }
+    kernels_.push_back(k);
   }
-  return false;
+  index_ = spatial::BucketIndex(std::move(cells));
 }
 
 std::vector<std::size_t> PopulationGrid::kernel_indices_near(
@@ -64,27 +61,8 @@ std::vector<std::size_t> PopulationGrid::kernel_indices_near(
   static obs::Counter& queries =
       obs::Registry::instance().counter("spatial.popgrid.queries");
   queries.add();
-
-  const int key = cell_key(p.lat_deg, p.lon_deg);
-  // Superset covering: every kernel whose halo can reach the query cell
-  // has its centre within kHalo+1 degrees of the cell (wrapping in
-  // longitude, clamping at the poles — hence the extra margin cell).
-  const int qlat = static_cast<int>(std::floor(p.lat_deg));
-  const int qlon = static_cast<int>(std::floor(p.lon_deg));
-  const auto rect = spatial::LatLonRect::from_degrees(
-      qlat - (kHalo + 1), qlat + (kHalo + 2), qlon - (kHalo + 1),
-      qlon + (kHalo + 2));
-  std::vector<std::uint32_t> cand = index_.candidates_in_rect(rect);
-
-  std::vector<std::size_t> out;
-  out.reserve(cand.size());
-  for (const std::uint32_t idx : cand) {
-    if (halo_covers(kernels_[idx].center, key)) out.push_back(idx);
-  }
-  // Token order -> ascending kernel index: the density summation order of
-  // the original sorted-bucket build.
-  std::sort(out.begin(), out.end());
-  return out;
+  const auto ids = index_.at(cell_key(p.lat_deg, p.lon_deg));
+  return {ids.begin(), ids.end()};
 }
 
 double PopulationGrid::density_per_km2(const geo::GeoPoint& p) const {

@@ -6,16 +6,18 @@
 // width grows slowly with population. Queries are snapped to a 1 km grid to
 // match GPWv4's granularity.
 //
-// Kernel lookup runs against a spatial::IntervalIndex over kernel centres;
-// the equivalence suite pins it to the original halo-registration scan
+// Kernel lookup runs against a spatial::BucketIndex of 1-degree cells,
+// each kernel registered into the 5x5 halo of cells around its centre; the
+// equivalence suite pins it to the original halo-registration scan
 // (tests/oracles/population_grid_reference.h).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "geo/geopoint.h"
 #include "sim/world.h"
-#include "spatial/interval_index.h"
+#include "spatial/bucket_index.h"
 
 namespace geoloc::dataset {
 
@@ -29,14 +31,18 @@ struct PopulationGridConfig {
 class PopulationGrid {
  public:
   PopulationGrid(const sim::World& world,
-                 const PopulationGridConfig& config = {});
+                 const PopulationGridConfig& config = {})
+      : PopulationGrid(world.places(), config) {}
+  /// Kernel i is centred on places[i].
+  explicit PopulationGrid(std::span<const sim::Place> places,
+                          const PopulationGridConfig& config = {});
 
   /// People per square kilometre at `p` (snapped to the 1 km grid).
   [[nodiscard]] double density_per_km2(const geo::GeoPoint& p) const;
 
   /// Kernels contributing at `p` under the original 1-degree-cell +
   /// 2-cell-halo registration semantics, ascending kernel index (the
-  /// density summation order). Index-backed.
+  /// density summation order).
   [[nodiscard]] std::vector<std::size_t> kernel_indices_near(
       const geo::GeoPoint& p) const;
 
@@ -52,13 +58,9 @@ class PopulationGrid {
     double norm;      ///< people / (2*pi*sigma^2)
   };
 
-  /// True when the original build would register a kernel at `center`
-  /// into the 1-degree cell `key` (the 5x5 clamped/normalized halo).
-  static bool halo_covers(const geo::GeoPoint& center, int key);
-
   PopulationGridConfig config_;
   std::vector<Kernel> kernels_;
-  spatial::IntervalIndex index_;  ///< kernel centres; payload = kernel index
+  spatial::BucketIndex index_;  ///< 1-degree cell -> kernel indices
 };
 
 }  // namespace geoloc::dataset

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "geo/geodesy.h"
 #include "obs/metrics.h"
@@ -57,20 +56,23 @@ std::int64_t cell_key(const geo::GeoPoint& p) noexcept {
   return lat * 4096 + lon;
 }
 
-/// The probe-cell footprint of a passing_near query: the 1-degree cell
-/// keys the original hash-grid scan visits, in its (lat, lon) scan order,
-/// duplicates preserved. The footprint — not the exact disk — defines the
-/// query's semantics, so the index-backed path reproduces it.
+/// A recorded-zip zone key as a bucket key.
+std::uint64_t zone_key(const spatial::ZipGrid::Key& key) noexcept {
+  return std::uint64_t{static_cast<std::uint32_t>(key.lat_cell)} << 32 |
+         static_cast<std::uint32_t>(key.lon_cell);
+}
+
+/// The 1-degree cell keys the original hash-grid scan probes for a
+/// passing_near query, in its (lat, lon) scan order, duplicates preserved.
 std::vector<std::int64_t> probe_cells(const geo::GeoPoint& p,
-                                      double radius_km, int& lat_lo,
-                                      int& lat_hi, int& lon_lo, int& lon_hi) {
+                                      double radius_km) {
   const double dlat = radius_km / 111.0;
   const double dlon =
       radius_km / std::max(20.0, 111.0 * std::cos(geo::deg_to_rad(p.lat_deg)));
-  lat_lo = static_cast<int>(std::floor(p.lat_deg - dlat));
-  lat_hi = static_cast<int>(std::floor(p.lat_deg + dlat));
-  lon_lo = static_cast<int>(std::floor(p.lon_deg - dlon));
-  lon_hi = static_cast<int>(std::floor(p.lon_deg + dlon));
+  const int lat_lo = static_cast<int>(std::floor(p.lat_deg - dlat));
+  const int lat_hi = static_cast<int>(std::floor(p.lat_deg + dlat));
+  const int lon_lo = static_cast<int>(std::floor(p.lon_deg - dlon));
+  const int lon_hi = static_cast<int>(std::floor(p.lon_deg + dlon));
   std::vector<std::int64_t> probes;
   probes.reserve(static_cast<std::size_t>(lat_hi - lat_lo + 1) *
                  static_cast<std::size_t>(lon_hi - lon_lo + 1));
@@ -191,28 +193,29 @@ WebEcosystem WebEcosystem::build(sim::World& world,
 
   // Index construction (the generation loop above is untouched so the RNG
   // draw sequence — and with it every existing artifact — is preserved).
-  std::vector<spatial::IntervalIndex::Item> zip_items;
-  std::vector<spatial::IntervalIndex::Item> passing_items;
-  zip_items.reserve(eco.websites_.size());
-  passing_items.reserve(eco.passing_count_);
+  std::vector<spatial::BucketIndex::Entry> zip_entries;
+  std::vector<spatial::BucketIndex::Entry> passing_entries;
+  zip_entries.reserve(eco.websites_.size());
+  passing_entries.reserve(eco.passing_count_);
   for (const Website& w : eco.websites_) {
-    // recorded_zip came from ZipGrid::format, so it always parses and is
-    // in bounds; the zone representative's leaf token is the bucket key.
+    // recorded_zip came from ZipGrid::format, so it always parses.
     if (const auto key = spatial::ZipGrid::parse(w.recorded_zip)) {
-      zip_items.push_back({eco.grid_.representative(*key), w.id});
+      zip_entries.emplace_back(zone_key(*key), w.id);
     }
-    if (w.passes_tests) passing_items.push_back({w.poi_location, w.id});
+    if (w.passes_tests) {
+      passing_entries.emplace_back(cell_key(w.poi_location), w.id);
+    }
   }
-  eco.zip_index_ = spatial::IntervalIndex::build(zip_items);
-  eco.passing_index_ = spatial::IntervalIndex::build(passing_items);
+  eco.zip_index_ = spatial::BucketIndex(std::move(zip_entries));
+  eco.passing_index_ = spatial::BucketIndex(std::move(passing_entries));
   return eco;
 }
 
 std::span<const WebsiteId> WebEcosystem::websites_in_zip(
     const std::string& zip) const {
-  const auto token = grid_.token_of_zip(zip);
-  if (!token) return {};
-  return zip_index_.at_token(*token);
+  const auto key = spatial::ZipGrid::parse(zip);
+  if (!key || grid_.format(*key) != zip) return {};
+  return zip_index_.at(zone_key(*key));
 }
 
 std::vector<WebsiteId> WebEcosystem::websites_near_zip(
@@ -231,33 +234,12 @@ std::vector<WebsiteId> WebEcosystem::passing_near(const geo::GeoPoint& p,
       obs::Registry::instance().counter("spatial.eco.passing_near");
   queries.add();
 
-  int lat_lo = 0, lat_hi = 0, lon_lo = 0, lon_hi = 0;
-  const std::vector<std::int64_t> probes =
-      probe_cells(p, radius_km, lat_lo, lat_hi, lon_lo, lon_hi);
-
-  // One covering query for the whole probe footprint (a guaranteed
-  // superset), then the exact per-candidate predicate: within the radius
-  // AND in a probed 1-degree cell.
-  const auto rect = spatial::LatLonRect::from_degrees(
-      lat_lo, static_cast<double>(lat_hi) + 1.0, lon_lo,
-      static_cast<double>(lon_hi) + 1.0);
-  const std::vector<std::uint32_t> cand =
-      passing_index_.candidates_in_rect(rect);
-
-  std::map<std::int64_t, std::vector<WebsiteId>> buckets;
-  for (const std::uint32_t id : cand) {
-    if (geo::distance_km(websites_[id].poi_location, p) <= radius_km) {
-      buckets[cell_key(websites_[id].poi_location)].push_back(id);
-    }
-  }
-  // Candidates arrive in token order; within a 1-degree cell the original
-  // scan emits ascending IDs (its buckets were filled in ID order).
-  for (auto& [key, ids] : buckets) std::sort(ids.begin(), ids.end());
-
   std::vector<WebsiteId> out;
-  for (const std::int64_t key : probes) {
-    if (const auto it = buckets.find(key); it != buckets.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
+  for (const std::int64_t key : probe_cells(p, radius_km)) {
+    for (const WebsiteId id : passing_index_.at(key)) {
+      if (geo::distance_km(websites_[id].poi_location, p) <= radius_km) {
+        out.push_back(id);
+      }
     }
   }
   return out;

@@ -9,10 +9,10 @@
 // that slip through) have serving infrastructure far from their postal
 // address, which is what poisons the tier-3 minimum-delay mapping.
 //
-// Lookup paths run against spatial::IntervalIndex structures (zip-token
-// buckets for websites_in_zip, a poi-location index for passing_near); the
-// equivalence suite pins both to the original linear/hash-grid scans
-// (tests/oracles/web_ecosystem_reference.h).
+// Lookup paths run against spatial::BucketIndex structures (recorded-zip
+// zone buckets for websites_in_zip, 1-degree poi-location cells for
+// passing_near); the equivalence suite pins both to the original
+// linear/hash-grid scans (tests/oracles/web_ecosystem_reference.h).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@
 
 #include "landmark/mapping_service.h"
 #include "sim/world.h"
-#include "spatial/interval_index.h"
+#include "spatial/bucket_index.h"
 
 namespace geoloc::landmark {
 
@@ -94,7 +94,8 @@ class WebEcosystem {
 
   /// Websites whose recorded postal address falls in `zip` (the Overpass
   /// "amenities with a website near this zip" query of the replication).
-  /// Ascending ID; one zip-token lookup against the interval index.
+  /// Ascending ID; one zone-bucket lookup. Only the canonical spelling of
+  /// a zone key matches (see spatial::ZipGrid).
   [[nodiscard]] std::span<const WebsiteId> websites_in_zip(
       const std::string& zip) const;
 
@@ -106,9 +107,8 @@ class WebEcosystem {
 
   /// Passing websites whose *postal address* is within `radius_km` of `p` —
   /// used by the closest-landmark oracle and the Figure 5b proximity table.
-  /// One rect-covering query against the poi-location index, filtered to
-  /// the exact probe-cell footprint of the original hash-grid scan so the
-  /// result (content and order) is identical to that scan's.
+  /// The original hash-grid scan: the 1-degree probe cells in scan order,
+  /// each cell's sites in ascending ID, filtered by exact distance.
   [[nodiscard]] std::vector<WebsiteId> passing_near(const geo::GeoPoint& p,
                                                     double radius_km) const;
 
@@ -121,10 +121,10 @@ class WebEcosystem {
 
  private:
   std::vector<Website> websites_;
-  /// recorded-zip zone token -> website IDs (ascending within a zone).
-  spatial::IntervalIndex zip_index_;
-  /// poi-location leaf token -> passing website IDs.
-  spatial::IntervalIndex passing_index_;
+  /// recorded-zip zone key -> website IDs.
+  spatial::BucketIndex zip_index_;
+  /// 1-degree poi-location cell -> passing website IDs.
+  spatial::BucketIndex passing_index_;
   spatial::ZipGrid grid_{0.045};  ///< copy of the mapping service's grid
   std::size_t passing_count_ = 0;
 };

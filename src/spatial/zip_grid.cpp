@@ -52,28 +52,6 @@ bool ZipGrid::in_bounds(const Key& key) const {
          key.lon_cell <= max_lon;
 }
 
-geo::GeoPoint ZipGrid::representative(const Key& key) const {
-  // Zone centre; boundary zones (only reachable by points exactly on
-  // latitude 90 / longitude 180) clamp a quarter-cell inside the world so
-  // they never wrap or collapse onto another zone's leaf cell.
-  const double lat = std::min(-90.0 + (key.lat_cell + 0.5) * cell_deg_,
-                              90.0 - cell_deg_ / 4.0);
-  double lon = -180.0 + (key.lon_cell + 0.5) * cell_deg_;
-  if (lon >= 180.0) lon = 180.0 - cell_deg_ / 4.0;
-  return geo::GeoPoint{lat, lon};
-}
-
-std::uint64_t ZipGrid::token(const Key& key) const {
-  return CellId::leaf_token(representative(key));
-}
-
-std::optional<std::uint64_t> ZipGrid::token_of_zip(
-    std::string_view zip) const {
-  const auto key = parse(zip);
-  if (!key || !in_bounds(*key)) return std::nullopt;
-  return token(*key);
-}
-
 std::vector<std::string> ZipGrid::neighbor_zones(const std::string& zip) const {
   const auto key = parse(zip);
   if (!key) return {zip};

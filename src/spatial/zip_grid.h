@@ -1,7 +1,5 @@
 // The postal-zone grid behind MappingService: "Z%05dx%05d" zone keys over
-// a fixed-degree lat/lon lattice, plus the bridge from zone keys to
-// spatial leaf tokens so zip → website lookups can run against an
-// IntervalIndex.
+// a fixed-degree lat/lon lattice.
 //
 // Key geometry (unchanged from the original MappingService formulas, which
 // every recorded_zip in existing artifacts depends on):
@@ -12,13 +10,9 @@
 // field an optionally-negative decimal integer, at least 5 characters
 // (zero-padded, matching the formatter), fully consumed. Trailing garbage
 // ("Z00001x00002junk") and short fields ("Z1x2") are rejected; the
-// sscanf-based parser this replaces accepted both.
-//
-// token(key) maps an in-bounds zone to the leaf token of a point inside
-// the zone, clamped so boundary zones (latitude 90, longitude 180) keep
-// distinct tokens instead of wrapping onto zone 0. Distinct in-bounds
-// zones map to distinct tokens for any cell_deg >= ~0.001 degrees (leaf
-// cells are ~0.00017 degrees).
+// sscanf-based parser this replaces accepted both. Fields wider than 5
+// characters parse too (format emits them for wide values), so a key has
+// more than one accepted spelling; format(key) is the canonical one.
 #pragma once
 
 #include <optional>
@@ -27,7 +21,6 @@
 #include <vector>
 
 #include "geo/geopoint.h"
-#include "spatial/cell.h"
 
 namespace geoloc::spatial {
 
@@ -54,19 +47,6 @@ class ZipGrid {
   /// True when the key can be produced by key_of for a real coordinate:
   /// lat_cell in [0, ceil(180/cell_deg)], lon_cell in [0, ceil(360/cell_deg)].
   [[nodiscard]] bool in_bounds(const Key& key) const;
-
-  /// A representative point inside the zone: the zone centre, clamped just
-  /// inside the world for boundary zones so token() stays injective.
-  [[nodiscard]] geo::GeoPoint representative(const Key& key) const;
-
-  /// Leaf token of the zone — the IntervalIndex key for zip-bucketed
-  /// payloads. Injective over in-bounds keys.
-  [[nodiscard]] std::uint64_t token(const Key& key) const;
-
-  /// parse + in_bounds + token in one step; nullopt for malformed or
-  /// out-of-world keys (which can hold no websites).
-  [[nodiscard]] std::optional<std::uint64_t> token_of_zip(
-      std::string_view zip) const;
 
   /// The zone and its 8 neighbours in the legacy (dlat, dlon) scan order;
   /// {zip} for a malformed key — the MappingService::neighbor_zones

@@ -50,7 +50,9 @@ TEST(MultiRound, NeverPicksTheTarget) {
   const auto& s = small_scenario();
   for (std::size_t col = 0; col < 20; ++col) {
     const MultiRoundOutcome o = selector.run(col);
-    if (o.ok) EXPECT_NE(s.vps()[o.chosen_row], s.targets()[col]);
+    if (o.ok) {
+      EXPECT_NE(s.vps()[o.chosen_row], s.targets()[col]);
+    }
   }
 }
 

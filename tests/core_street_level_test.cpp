@@ -105,7 +105,9 @@ TEST(StreetLevel, ChosenLandmarkHasSmallestUsableDelay) {
     min_usable = std::min(min_usable, m.min_d1d2_ms);
     if (m.claimed_location == r.estimate) chosen_delay = m.min_d1d2_ms;
   }
-  if (chosen_delay >= 0.0) EXPECT_DOUBLE_EQ(chosen_delay, min_usable);
+  if (chosen_delay >= 0.0) {
+    EXPECT_DOUBLE_EQ(chosen_delay, min_usable);
+  }
 }
 
 TEST(StreetLevel, CbgBaselineIsReasonable) {

@@ -26,7 +26,9 @@ TEST(Hitlist, EveryTargetHasThreeRepresentatives) {
 
 TEST(Hitlist, UnknownTargetThrows) {
   const auto& s = small_scenario();
-  EXPECT_THROW(s.hitlist().for_target(sim::kInvalidHost), std::out_of_range);
+  EXPECT_THROW(
+      static_cast<void>(s.hitlist().for_target(sim::kInvalidHost)),
+      std::out_of_range);
 }
 
 TEST(Hitlist, MostRepresentativesAreColocated) {
@@ -106,7 +108,6 @@ TEST(Hitlist, ToppedUpTargetsHaveFillIns) {
 
 TEST(Hitlist, FillInAddressesDoNotCollide) {
   sim::World world;
-  auto gen = world.rng().fork("hitlist-collide").gen();
   const net::Asn as = world.create_as(sim::AsCategory::Content, 0);
   std::vector<sim::HostId> targets;
   for (int i = 0; i < 60; ++i) {

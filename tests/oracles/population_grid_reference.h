@@ -1,7 +1,7 @@
 // Test oracle: the per-kernel halo replay dataset::PopulationGrid's
 // index-backed kernel_indices_near replaced, kept as the reference the
 // spatial equivalence suite pins it against. Kernel i is centred on
-// world.places()[i]. The 1-degree cell key and 5x5 halo of the original
+// places[i]. The 1-degree cell key and 5x5 halo of the original
 // registration loop are copied here, so the reference does not share the
 // production arithmetic. Use only in tests.
 #pragma once
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "geo/geodesy.h"
@@ -42,11 +43,11 @@ inline bool halo_covers(const geo::GeoPoint& center, int key) {
 
 /// Kernels contributing at `p`, ascending kernel index.
 inline std::vector<std::size_t> kernel_indices_near_scan(
-    const sim::World& world, const geo::GeoPoint& p) {
+    std::span<const sim::Place> places, const geo::GeoPoint& p) {
   const int key = cell_key(p.lat_deg, p.lon_deg);
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < world.places().size(); ++i) {
-    if (halo_covers(world.places()[i].location, key)) out.push_back(i);
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    if (halo_covers(places[i].location, key)) out.push_back(i);
   }
   return out;
 }

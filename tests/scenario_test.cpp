@@ -37,7 +37,8 @@ TEST(Scenario, IndexLookupsRoundTrip) {
   const auto& s = small_scenario();
   EXPECT_EQ(s.vp_index(s.vps()[5]), 5u);
   EXPECT_EQ(s.target_index(s.targets()[7]), 7u);
-  EXPECT_THROW(s.vp_index(sim::kInvalidHost), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(s.vp_index(sim::kInvalidHost)),
+               std::out_of_range);
 }
 
 TEST(Scenario, TargetRttMatrixShapeAndContent) {

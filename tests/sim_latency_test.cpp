@@ -116,7 +116,9 @@ TEST_F(LatencyTest, SameCityPairsAreFastDifferentContinentSlow) {
       break;
     }
   }
-  if (far > 0.0) EXPECT_GT(far, close);
+  if (far > 0.0) {
+    EXPECT_GT(far, close);
+  }
 }
 
 TEST_F(LatencyTest, RouterHopRttIsNoisierThanPing) {
@@ -134,7 +136,6 @@ TEST_F(LatencyTest, AccessPenaltyRaisesRtt) {
   // hosts' RTTs must carry the penalty even for nearby pairs.
   ASSERT_FALSE(world_.poorly_connected_cities().empty());
   const PlaceId poor = world_.poorly_connected_cities()[0];
-  auto gen = world_.rng().fork("pen").gen();
   Host a;
   a.addr = net::IPv4Address{10, 7, 0, 1};
   a.place = poor;

@@ -97,7 +97,8 @@ TEST_F(WorldTest, CreateAsAssignsUniqueAsns) {
   EXPECT_NE(a.value, b.value);
   EXPECT_EQ(world_.as_info(a).category, AsCategory::Content);
   EXPECT_EQ(world_.as_info(b).sector, 1);
-  EXPECT_THROW(world_.as_info(net::Asn{1}), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(world_.as_info(net::Asn{1})),
+               std::out_of_range);
 }
 
 TEST_F(WorldTest, SitePrefixesAreUniqueSlash24sOfTheAs) {

@@ -1,17 +1,19 @@
 // The central contract of the spatial subsystem: every call site routed
-// through the interval index returns *exactly* what the legacy linear /
+// through the bucket index returns *exactly* what the legacy linear /
 // hash-grid scan returned — same contents, same order, on every input,
 // including the degenerate ones (poles, anti-meridian, cell boundaries,
 // malformed zips, empty worlds).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "dataset/population_grid.h"
+#include "geo/geodesy.h"
 #include "geo/geopoint.h"
 #include "landmark/ecosystem.h"
 #include "landmark/mapping_service.h"
@@ -67,6 +69,12 @@ TEST(SpatialEquivalence, WebsitesInZipMatchesScanForEveryRecordedZip) {
     const auto scanned = websites_in_zip_scan(eco, zip);
     ASSERT_EQ(indexed, scanned) << zip;
     EXPECT_FALSE(indexed.empty()) << zip;
+    // A zero-widened spelling parses to the same zone key, but only the
+    // canonical spelling is the recorded zip.
+    const std::string widened = "Z0" + zip.substr(1);
+    ASSERT_EQ(to_vector(eco.websites_in_zip(widened)),
+              websites_in_zip_scan(eco, widened))
+        << widened;
   }
 }
 
@@ -126,19 +134,53 @@ TEST(SpatialEquivalence, PassingNearMatchesScanAtScenarioPlaces) {
           << q.lat_deg << "," << q.lon_deg << " r=" << radius_km;
     }
   }
+
+  // A polar query whose probe ring spans more than 360 degrees of
+  // longitude visits some cells twice, and the scan emits their sites
+  // twice. Aim the doubled cells at the northernmost passing site of an
+  // ecosystem with one passing site per city, which keeps the oracle's
+  // probe x site scan cheap.
+  sim::World world;
+  landmark::EcosystemConfig cfg;
+  cfg.websites_per_1k_pop = 0.0;
+  cfg.min_websites_per_city = 1;
+  cfg.local_share = 1.0;
+  cfg.chain_rate = 0.0;
+  cfg.zip_mismatch_rate = 0.0;
+  cfg.local_false_detect_rate = 0.0;
+  const WebEcosystem sparse = WebEcosystem::build(world, s.mapping(), cfg);
+  ASSERT_EQ(sparse.passing_count(), world.cities().size());
+  const landmark::Website* north = &sparse.websites().front();
+  for (const auto& w : sparse.websites()) {
+    if (w.poi_location.lat_deg > north->poi_location.lat_deg) north = &w;
+  }
+  const geo::GeoPoint q{
+      89.999, geo::normalize_lon(north->poi_location.lon_deg + 180.0)};
+  const double radius_km =
+      std::max(3700.0, geo::distance_km(q, north->poi_location) + 1.0);
+  const auto scanned = passing_near_scan(sparse, q, radius_km);
+  EXPECT_EQ(std::count(scanned.begin(), scanned.end(), north->id), 2);
+  EXPECT_EQ(sparse.passing_near(q, radius_km), scanned) << "r=" << radius_km;
 }
 
-TEST(SpatialEquivalence, PassingNearMatchesScanAtGeometricEdges) {
+// One ctest entry per edge point, so a parallel run spreads the oracle's
+// probe x site scans (costliest at 2 000 km near the poles) across workers.
+class PassingNearAtEdge : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PassingNearAtEdge, MatchesScan) {
   const auto& s = testing::small_scenario();
   const WebEcosystem& eco = s.web();
-  for (const geo::GeoPoint& q : edge_points()) {
-    for (const double radius_km : {0.0, 5.0, 200.0, 2000.0}) {
-      EXPECT_EQ(eco.passing_near(q, radius_km),
-                passing_near_scan(eco, q, radius_km))
-          << q.lat_deg << "," << q.lon_deg << " r=" << radius_km;
-    }
+  const geo::GeoPoint q = edge_points()[GetParam()];
+  for (const double radius_km : {0.0, 5.0, 200.0, 2000.0}) {
+    EXPECT_EQ(eco.passing_near(q, radius_km),
+              passing_near_scan(eco, q, radius_km))
+        << q.lat_deg << "," << q.lon_deg << " r=" << radius_km;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SpatialEquivalence, PassingNearAtEdge,
+    ::testing::Range<std::size_t>(0, edge_points().size()));
 
 TEST(SpatialEquivalence, ReverseGeocodeAgreesWithZoneArithmeticEverywhere) {
   const landmark::MappingService mapping;
@@ -162,7 +204,20 @@ TEST(SpatialEquivalence, ReverseGeocodeAgreesWithZoneArithmeticEverywhere) {
 
 TEST(SpatialEquivalence, PopulationKernelsMatchScanEverywhere) {
   const auto& s = testing::small_scenario();
-  const dataset::PopulationGrid grid(s.world());
+  // The scenario's places plus kernels within 2 degrees of a pole (two of
+  // them beside the anti-meridian), whose clamped halos repeat cells.
+  std::vector<sim::Place> places(s.world().places().begin(),
+                                 s.world().places().end());
+  for (const geo::GeoPoint& c : {geo::GeoPoint{89.5, 0.5},
+                                 geo::GeoPoint{88.2, -179.7},
+                                 geo::GeoPoint{-89.5, 179.9},
+                                 geo::GeoPoint{-88.3, 45.2}}) {
+    sim::Place polar;
+    polar.location = c;
+    polar.population_k = 10.0;
+    places.push_back(polar);
+  }
+  const dataset::PopulationGrid grid(places);
   ASSERT_GT(grid.kernel_count(), 0u);
 
   std::mt19937 rng(9);
@@ -170,12 +225,9 @@ TEST(SpatialEquivalence, PopulationKernelsMatchScanEverywhere) {
   std::uniform_real_distribution<double> lon(-180.0, 180.0);
   std::vector<geo::GeoPoint> pts = edge_points();
   for (int i = 0; i < 200; ++i) pts.push_back({lat(rng), lon(rng)});
-  for (const sim::Place& place : s.world().places()) {
-    pts.push_back(place.location);
-  }
+  for (const sim::Place& place : places) pts.push_back(place.location);
   for (const geo::GeoPoint& p : pts) {
-    ASSERT_EQ(grid.kernel_indices_near(p),
-              kernel_indices_near_scan(s.world(), p))
+    ASSERT_EQ(grid.kernel_indices_near(p), kernel_indices_near_scan(places, p))
         << p.lat_deg << "," << p.lon_deg;
   }
 }

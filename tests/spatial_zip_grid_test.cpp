@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "geo/geopoint.h"
 
@@ -89,52 +87,6 @@ TEST(SpatialZipGrid, InBoundsTracksTheWorldExtent) {
   EXPECT_FALSE(grid.in_bounds({0, -1}));
   EXPECT_FALSE(grid.in_bounds({721, 0}));
   EXPECT_FALSE(grid.in_bounds({0, 1441}));
-}
-
-TEST(SpatialZipGrid, RepresentativeLiesInTheZone) {
-  const ZipGrid grid(0.045);
-  std::mt19937 rng(13);
-  std::uniform_real_distribution<double> lat(-90.0, 90.0);
-  std::uniform_real_distribution<double> lon(-180.0, 180.0);
-  for (int i = 0; i < 300; ++i) {
-    const geo::GeoPoint p{lat(rng), lon(rng)};
-    const ZipGrid::Key key = grid.key_of(p);
-    const geo::GeoPoint rep = grid.representative(key);
-    EXPECT_EQ(grid.key_of(rep), key)
-        << "rep of " << grid.format(key) << " left the zone";
-  }
-}
-
-TEST(SpatialZipGrid, TokensAreInjectiveIncludingBoundaryZones) {
-  // Zones at latitude 90 / longitude 180 must not collapse onto zone 0 or
-  // onto their inland neighbours: the zip index keys buckets by token.
-  const ZipGrid grid(0.25);
-  const int max_lat = 720;
-  const int max_lon = 1440;
-  std::set<std::uint64_t> tokens;
-  std::vector<ZipGrid::Key> keys;
-  for (const int lat_cell : {0, 1, max_lat / 2, max_lat - 1, max_lat}) {
-    for (const int lon_cell : {0, 1, max_lon / 2, max_lon - 1, max_lon}) {
-      keys.push_back({lat_cell, lon_cell});
-    }
-  }
-  for (const ZipGrid::Key& key : keys) {
-    ASSERT_TRUE(grid.in_bounds(key)) << grid.format(key);
-    tokens.insert(grid.token(key));
-  }
-  EXPECT_EQ(tokens.size(), keys.size());
-}
-
-TEST(SpatialZipGrid, TokenOfZipComposesParseBoundsAndToken) {
-  const ZipGrid grid(0.045);
-  const geo::GeoPoint p{40.7128, -74.0060};
-  const std::string zip = grid.format(grid.key_of(p));
-  const auto tok = grid.token_of_zip(zip);
-  ASSERT_TRUE(tok.has_value());
-  EXPECT_EQ(*tok, grid.token(grid.key_of(p)));
-  EXPECT_FALSE(grid.token_of_zip("garbage"));
-  EXPECT_FALSE(grid.token_of_zip("Z-0001x00002"));  // parses, out of world
-  EXPECT_FALSE(grid.token_of_zip("Z99999x99999"));  // far past the extent
 }
 
 TEST(SpatialZipGrid, NeighborZonesKeepTheLegacyScanOrder) {
