@@ -5,6 +5,17 @@
 // the *reported* locations, iteratively removing the worst offender until
 // no violation remains (9 anchors removed). Probes are then pinged against
 // the surviving anchors and filtered the same way (96 probes removed).
+//
+// Both sanitisers run one blocked pair sweep (DESIGN.md §9). Per block of
+// rows, the pure half — each pair's deterministic base RTT from the batch
+// kernel and the distance between the reported locations — runs row by row
+// on the util::parallel pool; the serial half then draws every pair's
+// jitter and loss from the sanitiser's one generator on the calling thread,
+// in row-major order, skipping unresponsive columns without a draw. The
+// result is therefore identical at any GEOLOC_THREADS, and to the serial
+// min_rtt_ms loops it replaced (tests/oracles/sanitize_reference.h). The
+// `dataset.sanitize.anchors` / `.probes` trace spans time each sanitiser
+// and `dataset.sanitize.pairs` counts the pairs swept.
 #pragma once
 
 #include <cstdint>

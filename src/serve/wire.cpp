@@ -140,6 +140,8 @@ std::vector<std::byte> encode_batch_request(
     std::uint32_t request_id, std::span<const net::IPv4Address> addresses,
     double now_s) {
   PayloadWriter w;
+  w.reserve(sizeof(std::uint8_t) + sizeof request_id + sizeof now_s +
+            sizeof(std::uint32_t) + addresses.size() * sizeof(std::uint32_t));
   payload_header(w, MsgType::BatchReq, request_id);
   w.pod(now_s);
   w.pod(static_cast<std::uint32_t>(addresses.size()));

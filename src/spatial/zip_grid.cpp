@@ -45,13 +45,6 @@ std::optional<ZipGrid::Key> ZipGrid::parse(std::string_view zip) {
   return key;
 }
 
-bool ZipGrid::in_bounds(const Key& key) const {
-  const int max_lat = static_cast<int>(std::ceil(180.0 / cell_deg_));
-  const int max_lon = static_cast<int>(std::ceil(360.0 / cell_deg_));
-  return key.lat_cell >= 0 && key.lat_cell <= max_lat && key.lon_cell >= 0 &&
-         key.lon_cell <= max_lon;
-}
-
 std::vector<std::string> ZipGrid::neighbor_zones(const std::string& zip) const {
   const auto key = parse(zip);
   if (!key) return {zip};

@@ -44,10 +44,6 @@ class ZipGrid {
   /// malformed input.
   [[nodiscard]] static std::optional<Key> parse(std::string_view zip);
 
-  /// True when the key can be produced by key_of for a real coordinate:
-  /// lat_cell in [0, ceil(180/cell_deg)], lon_cell in [0, ceil(360/cell_deg)].
-  [[nodiscard]] bool in_bounds(const Key& key) const;
-
   /// The zone and its 8 neighbours in the legacy (dlat, dlon) scan order;
   /// {zip} for a malformed key — the MappingService::neighbor_zones
   /// contract.

@@ -220,6 +220,9 @@ class PayloadWriter {
     buf_.insert(buf_.end(), b, b + n);
   }
 
+  /// Size the buffer for a payload of `n` bytes up front.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   [[nodiscard]] std::span<const std::byte> data() const noexcept {
     return buf_;
   }

@@ -8,9 +8,26 @@
 
 namespace {
 
-// Zero-initialized before any dynamic initialization runs, so allocations
-// made during static construction are counted too.
-std::atomic<std::uint64_t> g_alloc_count{0};
+// The allocation counter, striped across cache lines by thread (the
+// obs::Counter layout) so concurrent allocators do not all bump one line;
+// alloc_count() sums the cells, so the total stays exact. Constant-
+// initialized before any dynamic initialization runs, so allocations made
+// during static construction are counted too.
+constexpr std::uint32_t kStripes = 16;
+struct alignas(64) Cell {
+  std::atomic<std::uint64_t> v{0};
+};
+Cell g_alloc_cells[kStripes];
+std::atomic<std::uint32_t> g_next_stripe{0};
+// Plain constant-initialized TLS: no init guard to run inside operator new.
+thread_local std::uint32_t t_stripe = kStripes;
+
+void count_alloc() noexcept {
+  if (t_stripe == kStripes) {
+    t_stripe = g_next_stripe.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  }
+  g_alloc_cells[t_stripe].v.fetch_add(1, std::memory_order_relaxed);
+}
 
 std::size_t status_field_kb(const char* key) {
   std::FILE* f = std::fopen("/proc/self/status", "r");
@@ -31,7 +48,7 @@ std::size_t status_field_kb(const char* key) {
 }
 
 void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc();
   if (n == 0) n = 1;
   for (;;) {
     if (void* p = std::malloc(n)) return p;
@@ -42,7 +59,7 @@ void* counted_alloc(std::size_t n) {
 }
 
 void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc();
   if (n == 0) n = align;
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t rounded = (n + align - 1) / align * align;
@@ -61,7 +78,11 @@ namespace geoloc::util::procstat {
 std::size_t peak_rss_kb() { return status_field_kb("VmHWM"); }
 std::size_t rss_kb() { return status_field_kb("VmRSS"); }
 std::uint64_t alloc_count() {
-  return g_alloc_count.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const Cell& c : g_alloc_cells) {
+    total += c.v.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 }  // namespace geoloc::util::procstat
@@ -82,23 +103,23 @@ void* operator new[](std::size_t n, std::align_val_t al) {
 }
 
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc();
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc();
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new(std::size_t n, std::align_val_t al,
                    const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc();
   const auto a = static_cast<std::size_t>(al);
   const std::size_t want = n == 0 ? a : n;
   return std::aligned_alloc(a, (want + a - 1) / a * a);
 }
 void* operator new[](std::size_t n, std::align_val_t al,
                      const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc();
   const auto a = static_cast<std::size_t>(al);
   const std::size_t want = n == 0 ? a : n;
   return std::aligned_alloc(a, (want + a - 1) / a * a);

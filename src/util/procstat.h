@@ -20,9 +20,10 @@ namespace geoloc::util::procstat {
 
 /// Number of global operator new invocations (all variants) since process
 /// start. The counter lives in the replaced global allocation functions in
-/// procstat.cpp — one relaxed atomic increment per allocation, cheap enough
-/// to be always-on. Diff two readings around a region to count its
-/// allocations.
+/// procstat.cpp — one relaxed atomic increment per allocation into the
+/// calling thread's cache-line stripe, cheap enough to be always-on and
+/// contention-free across threads; the read sums the stripes, so the count
+/// is exact. Diff two readings around a region to count its allocations.
 [[nodiscard]] std::uint64_t alloc_count();
 
 }  // namespace geoloc::util::procstat

@@ -25,6 +25,10 @@ TEST(SpatialZipGrid, KeyOfMatchesTheFloorFormulas) {
             static_cast<int>((p.lat_deg + 90.0) / 0.045));
   EXPECT_EQ(key.lon_cell,
             static_cast<int>((p.lon_deg + 180.0) / 0.045));
+  // cell_deg 0.25 is exact in binary: the world is exactly 720 x 1440
+  // cells, and the far corner floors to the boundary cell 720 / 1440.
+  const ZipGrid quarter(0.25);
+  EXPECT_EQ(quarter.key_of({90.0, 180.0}), (ZipGrid::Key{720, 1440}));
 }
 
 TEST(SpatialZipGrid, ParseRoundTripsFormat) {
@@ -73,20 +77,6 @@ TEST(SpatialZipGrid, ParseRejectsMalformedKeys) {
        }) {
     EXPECT_FALSE(ZipGrid::parse(bad).has_value()) << "\"" << bad << "\"";
   }
-}
-
-TEST(SpatialZipGrid, InBoundsTracksTheWorldExtent) {
-  // cell_deg 0.25 is exact in binary: the world is exactly 720 x 1440
-  // cells, and key_of(lat 90, lon 180) floors to cell 720 / 1440 — the
-  // boundary keys in_bounds must admit.
-  const ZipGrid grid(0.25);
-  EXPECT_TRUE(grid.in_bounds({0, 0}));
-  EXPECT_TRUE(grid.in_bounds({720, 1440}));
-  EXPECT_EQ(grid.key_of({90.0, 180.0}), (ZipGrid::Key{720, 1440}));
-  EXPECT_FALSE(grid.in_bounds({-1, 0}));
-  EXPECT_FALSE(grid.in_bounds({0, -1}));
-  EXPECT_FALSE(grid.in_bounds({721, 0}));
-  EXPECT_FALSE(grid.in_bounds({0, 1441}));
 }
 
 TEST(SpatialZipGrid, NeighborZonesKeepTheLegacyScanOrder) {
