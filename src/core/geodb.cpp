@@ -1,5 +1,8 @@
 #include "core/geodb.h"
 
+#include <utility>
+#include <vector>
+
 #include "geo/geodesy.h"
 
 namespace geoloc::core {
@@ -46,13 +49,14 @@ Draw draw_maxmind(util::Pcg32& gen) {
 
 GeoDatabase GeoDatabase::build(const scenario::Scenario& s,
                                GeoDbProfile profile) {
-  GeoDatabase db(profile);
   const auto& world = s.world();
   auto gen = world.rng()
                  .fork(profile == GeoDbProfile::IPinfo ? "geodb-ipinfo"
                                                        : "geodb-maxmind")
                  .gen();
 
+  std::vector<std::pair<net::Prefix, GeoDbEntry>> entries;
+  entries.reserve(s.targets().size());
   for (sim::HostId target : s.targets()) {
     const sim::Host& h = world.host(target);
     const Draw d = profile == GeoDbProfile::IPinfo ? draw_ipinfo(gen)
@@ -64,24 +68,18 @@ GeoDatabase GeoDatabase::build(const scenario::Scenario& s,
     // IPinfo resolves /24s; the free MaxMind data is frequently coarser.
     const int plen =
         profile == GeoDbProfile::IPinfo ? 24 : (gen.chance(0.6) ? 24 : 16);
-    db.table_.insert(net::Prefix{h.addr, plen}, entry);
+    entries.emplace_back(net::Prefix{h.addr, plen}, entry);
   }
-  return db;
-}
-
-std::vector<std::pair<net::Prefix, GeoDbEntry>> GeoDatabase::entries() const {
-  std::vector<std::pair<net::Prefix, GeoDbEntry>> out;
-  out.reserve(table_.size());
-  table_.for_each([&](const net::Prefix& p, const GeoDbEntry& e) {
-    out.emplace_back(p, e);
-  });
-  return out;
+  // A prefix drawn twice (MaxMind's colliding /16s) keeps the later
+  // target's entry: FlatLpm::build resolves duplicates to the last one.
+  return GeoDatabase(profile,
+                     net::FlatLpm<GeoDbEntry>::build(std::move(entries)));
 }
 
 std::optional<GeoDbEntry> GeoDatabase::lookup(net::IPv4Address a) const {
-  const auto hit = table_.lookup(a);
+  const auto* hit = table_.lookup(a);
   if (!hit) return std::nullopt;
-  return hit->second;
+  return hit->value;
 }
 
 }  // namespace geoloc::core

@@ -12,9 +12,8 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
-#include "net/prefix_table.h"
+#include "net/flat_lpm.h"
 #include "scenario/scenario.h"
 
 namespace geoloc::core {
@@ -36,18 +35,15 @@ class GeoDatabase {
   [[nodiscard]] std::optional<GeoDbEntry> lookup(net::IPv4Address a) const;
 
   [[nodiscard]] GeoDbProfile profile() const noexcept { return profile_; }
+  /// Distinct prefixes (a prefix drawn twice keeps its last entry).
   [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
 
-  /// Every (prefix, entry) pair in network order — the export hook the
-  /// snapshot builder uses to publish a database-sourced dataset.
-  [[nodiscard]] std::vector<std::pair<net::Prefix, GeoDbEntry>> entries()
-      const;
-
  private:
-  explicit GeoDatabase(GeoDbProfile profile) : profile_(profile) {}
+  GeoDatabase(GeoDbProfile profile, net::FlatLpm<GeoDbEntry> table)
+      : profile_(profile), table_(std::move(table)) {}
 
   GeoDbProfile profile_;
-  net::PrefixTable<GeoDbEntry> table_;
+  net::FlatLpm<GeoDbEntry> table_;
 };
 
 }  // namespace geoloc::core

@@ -1,9 +1,9 @@
-// Flattened longest-prefix-match table for read-heavy serving paths.
+// Flattened longest-prefix-match table: the one general LPM in the code,
+// serving published snapshots and the prefix-keyed geolocation databases.
 //
-// net::PrefixTable (a binary trie) is the right structure while a table is
-// being *built* — cheap inserts, natural LPM — but lookups chase up to 32
-// heap pointers, each a potential cache miss. Once a prefix set is frozen
-// (a published dataset snapshot), LPM over it can be answered from two
+// A binary trie would chase up to 32 heap pointers per lookup, each a
+// potential cache miss. Once a prefix set is frozen (a published dataset
+// snapshot, a built database), LPM over it can be answered from two
 // flat arrays instead: sweep the prefixes in network order, resolving
 // nesting with a stack, and emit the disjoint address intervals each
 // prefix *owns*. A lookup is then a binary search over the interval start
@@ -28,8 +28,8 @@
 namespace geoloc::net {
 
 /// Immutable LPM over a frozen prefix set. Duplicate prefixes in the input
-/// resolve to the last occurrence (matching PrefixTable::insert overwrite
-/// semantics when entries are added in insertion order).
+/// resolve to the last occurrence, as if each entry overwrote the earlier
+/// ones in input order.
 template <typename Value>
 class FlatLpm {
  public:

@@ -179,7 +179,7 @@ net::Prefix World::allocate_site_prefix(net::Asn asn) {
     next_block16_ += 0x10000;
     as_current_block_[asn.value] = base;
     as_next_site_[asn.value] = 0;
-    bgp_.insert(net::Prefix{net::IPv4Address{base}, 16}, asn);
+    bgp_blocks_.push_back(AnnouncedBlock{asn, {}});
     block_it = as_current_block_.find(asn.value);
   }
   const std::uint32_t site = as_next_site_[asn.value]++;
@@ -188,14 +188,21 @@ net::Prefix World::allocate_site_prefix(net::Asn asn) {
   // landmark/target same-BGP-prefix analysis (Section 5.2.3) observes.
   auto gen = rng_.fork("announce", p.network().value()).gen();
   if (gen.chance(config_.more_specific_announce_rate)) {
-    bgp_.insert(p, asn);
+    bgp_blocks_[(block_it->second - kFirstBlock16) >> 16].announced_sites.set(
+        site);
   }
   return p;
 }
 
 std::optional<std::pair<net::Prefix, net::Asn>> World::bgp_lookup(
     net::IPv4Address addr) const {
-  return bgp_.lookup(addr);
+  // Unsigned wrap: blocks past 255.255.0.0/16 continue at 0.0.0.0/16, and
+  // addresses below 1.0.0.0 index past every block not yet allocated.
+  const std::uint32_t block = (addr.value() - kFirstBlock16) >> 16;
+  if (block >= bgp_blocks_.size()) return std::nullopt;
+  const AnnouncedBlock& b = bgp_blocks_[block];
+  const bool more_specific = b.announced_sites.test((addr.value() >> 8) & 0xFF);
+  return std::pair{net::Prefix{addr, more_specific ? 24 : 16}, b.asn};
 }
 
 HostId World::add_host(Host host) {

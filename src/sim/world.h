@@ -1,6 +1,6 @@
 // The simulated Internet's static structure: places (real cities plus
 // procedurally generated satellite towns), autonomous systems, hosts,
-// address allocation and a BGP-style prefix table.
+// address allocation and a BGP-style origin table.
 //
 // The World holds no latency logic (see sim/latency_model.h) and no
 // measurement logic (see atlas/platform.h); it is the registry those
@@ -8,17 +8,18 @@
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geo/geopoint.h"
 #include "net/ipv4.h"
-#include "net/prefix_table.h"
 #include "sim/city.h"
 #include "util/rng.h"
 
@@ -143,7 +144,8 @@ class World {
   /// Allocate the next /24 site prefix owned by `asn`; registers the
   /// covering /16 (and sometimes the /24 itself) in the BGP table.
   net::Prefix allocate_site_prefix(net::Asn asn);
-  /// BGP-style origin lookup (longest-prefix match).
+  /// BGP-style origin lookup: the longest announced prefix covering `addr`
+  /// (the site's /24 when it was announced, else its /16), or nullopt.
   [[nodiscard]] std::optional<std::pair<net::Prefix, net::Asn>> bgp_lookup(
       net::IPv4Address addr) const;
 
@@ -226,8 +228,18 @@ class World {
   std::unordered_map<std::uint32_t, std::size_t> as_index_;
   std::unordered_map<std::uint32_t, std::uint32_t> as_current_block_;  // asn -> /16 base
   std::unordered_map<std::uint32_t, std::uint32_t> as_next_site_;     // asn -> next /24 index
-  std::uint32_t next_block16_ = 0x01000000;  // 1.0.0.0, advances by /16
-  net::PrefixTable<net::Asn> bgp_;
+  // The BGP table. Announcements follow the address plan: each is a /16
+  // handed out in order from kFirstBlock16, or a /24 inside its AS's own
+  // /16. So the longest match is exact without a general LPM: one entry
+  // per allocated /16, indexed by (addr - kFirstBlock16) >> 16, recording
+  // its AS and which of its 256 /24s were announced as more-specifics.
+  struct AnnouncedBlock {
+    net::Asn asn;
+    std::bitset<256> announced_sites;
+  };
+  static constexpr std::uint32_t kFirstBlock16 = 0x01000000;  // 1.0.0.0
+  std::uint32_t next_block16_ = kFirstBlock16;  // advances by /16
+  std::vector<AnnouncedBlock> bgp_blocks_;
 
   std::vector<Host> hosts_;
   std::unordered_map<std::uint32_t, HostId> host_by_addr_;

@@ -1,76 +1,58 @@
-// Property tests against brute-force reference implementations: the trie
-// versus a linear scan, the region engine versus Monte-Carlo membership,
-// and geodesy invariants under random sweeps.
+// Property tests against brute-force reference implementations: the flat
+// LPM versus a linear scan, the region engine versus Monte-Carlo
+// membership, and geodesy invariants under random sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "geo/geodesy.h"
 #include "geo/region.h"
-#include "net/prefix_table.h"
+#include "net/flat_lpm.h"
+#include "oracles/lpm_scan_reference.h"
 #include "util/rng.h"
 
 namespace geoloc {
 namespace {
 
 // --------------------------------------------------------------------------
-// PrefixTable vs a linear-scan reference.
-class TrieVsReference : public ::testing::TestWithParam<std::uint64_t> {};
+// FlatLpm vs a linear-scan reference.
+class FlatLpmVsReference : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TrieVsReference, LongestPrefixMatchAgrees) {
+TEST_P(FlatLpmVsReference, LongestPrefixMatchAgrees) {
   auto gen = util::Pcg32{GetParam()};
-  net::PrefixTable<int> trie;
-  std::vector<std::pair<net::Prefix, int>> reference;
+  std::vector<std::pair<net::Prefix, int>> entries;
+  oracle::LpmScan<int> reference;
 
   for (int i = 0; i < 300; ++i) {
     const net::IPv4Address addr{gen()};
     const int len = 4 + static_cast<int>(gen.bounded(29));  // 4..32
     const net::Prefix p{addr, len};
-    trie.insert(p, i);
-    // Mirror overwrite semantics in the reference.
-    const auto it = std::find_if(
-        reference.begin(), reference.end(),
-        [&](const auto& entry) { return entry.first == p; });
-    if (it != reference.end()) {
-      it->second = i;
-    } else {
-      reference.emplace_back(p, i);
-    }
+    entries.emplace_back(p, i);
+    reference.insert(p, i);
   }
+  const auto lpm = net::FlatLpm<int>::build(entries);
 
-  auto reference_lookup =
-      [&](net::IPv4Address a) -> std::optional<std::pair<net::Prefix, int>> {
-    std::optional<std::pair<net::Prefix, int>> best;
-    for (const auto& [prefix, value] : reference) {
-      if (!prefix.contains(a)) continue;
-      if (!best || prefix.length() > best->first.length()) {
-        best = {prefix, value};
-      }
-    }
-    return best;
-  };
-
-  EXPECT_EQ(trie.size(), reference.size());
+  EXPECT_EQ(lpm.size(), reference.size());
   for (int i = 0; i < 1'000; ++i) {
     // Half the probes reuse inserted networks to guarantee hits.
     net::IPv4Address probe{gen()};
-    if (gen.chance(0.5) && !reference.empty()) {
-      const auto& p = reference[gen.index(reference.size())].first;
+    if (gen.chance(0.5) && reference.size() > 0) {
+      const auto& p = reference.entries()[gen.index(reference.size())].first;
       probe = net::IPv4Address{p.network().value() + gen.bounded(16)};
     }
-    const auto got = trie.lookup(probe);
-    const auto want = reference_lookup(probe);
-    ASSERT_EQ(got.has_value(), want.has_value()) << probe.to_string();
+    const auto* got = lpm.lookup(probe);
+    const auto want = reference.lookup(probe);
+    ASSERT_EQ(got != nullptr, want.has_value()) << probe.to_string();
     if (got) {
-      EXPECT_EQ(got->first, want->first) << probe.to_string();
-      EXPECT_EQ(got->second, want->second) << probe.to_string();
+      EXPECT_EQ(got->prefix, want->first) << probe.to_string();
+      EXPECT_EQ(got->value, want->second) << probe.to_string();
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TrieVsReference,
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatLpmVsReference,
                          ::testing::Values(3, 7, 31, 127, 8191));
 
 // --------------------------------------------------------------------------

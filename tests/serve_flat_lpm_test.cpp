@@ -1,6 +1,7 @@
-// FlatLpm is the serving-path replacement for net::PrefixTable. The key
-// property: for every address, it answers exactly what the trie answers —
-// checked both on curated nest/overlap cases and on randomized prefix sets.
+// FlatLpm, the one longest-prefix-match table. The key property: for every
+// address, it answers exactly what a linear scan over the prefixes answers
+// — checked both on curated nest/overlap cases and on randomized prefix
+// sets.
 #include "net/flat_lpm.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/prefix_table.h"
+#include "oracles/lpm_scan_reference.h"
 #include "util/rng.h"
 
 namespace geoloc::net {
@@ -99,11 +100,11 @@ TEST(FlatLpm, BatchMatchesSingleLookups) {
   }
 }
 
-TEST(FlatLpm, AgreesWithPrefixTableOnRandomSets) {
+TEST(FlatLpm, AgreesWithScanReferenceOnRandomSets) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 99ULL}) {
     Pcg32 gen(seed);
     std::vector<std::pair<Prefix, int>> entries;
-    PrefixTable<int> trie;
+    oracle::LpmScan<int> reference;
     const std::size_t n = 50 + gen.bounded(400);
     for (std::size_t i = 0; i < n; ++i) {
       const int len = static_cast<int>(gen.bounded(33));  // 0..32 inclusive
@@ -111,10 +112,10 @@ TEST(FlatLpm, AgreesWithPrefixTableOnRandomSets) {
       const Prefix p{network, len};
       const int value = static_cast<int>(i);
       entries.emplace_back(p, value);
-      trie.insert(p, value);
+      reference.insert(p, value);
     }
     const auto lpm = FlatLpm<int>::build(entries);
-    ASSERT_EQ(lpm.size(), trie.size()) << "seed " << seed;
+    ASSERT_EQ(lpm.size(), reference.size()) << "seed " << seed;
 
     for (int probe = 0; probe < 20'000; ++probe) {
       // Half uniform addresses, half near prefix boundaries where the
@@ -130,7 +131,7 @@ TEST(FlatLpm, AgreesWithPrefixTableOnRandomSets) {
         a = IPv4Address{static_cast<std::uint32_t>(
             std::min<std::uint64_t>(edge, 0xFFFFFFFFULL))};
       }
-      const auto want = trie.lookup(a);
+      const auto want = reference.lookup(a);
       const auto* got = lpm.lookup(a);
       if (!want.has_value()) {
         EXPECT_EQ(got, nullptr) << "seed " << seed << " addr " << a.value();
