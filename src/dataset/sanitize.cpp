@@ -1,12 +1,12 @@
 #include "dataset/sanitize.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "geo/constants.h"
 #include "geo/geodesy.h"
-#include "geo/geodesy_batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/parallel.h"
@@ -14,11 +14,6 @@
 namespace geoloc::dataset {
 
 namespace {
-
-double effective_soi(const SanitizeConfig& config) {
-  return config.soi_km_per_ms > 0.0 ? config.soi_km_per_ms
-                                    : geo::kSoiTwoThirdsKmPerMs;
-}
 
 /// One observed pair that is impossible at the speed of Internet.
 struct Violation {
@@ -48,20 +43,17 @@ SanitizeResult iterative_removal(const std::vector<sim::HostId>& candidates,
   }
 
   std::vector<bool> violation_active(violations.size(), true);
-  std::unordered_set<sim::HostId> removed;
   for (;;) {
     sim::HostId worst = sim::kInvalidHost;
     int worst_count = 0;
     for (const auto& [host, c] : count) {
       // Deterministic tie-break on host id keeps runs reproducible.
-      if (c > worst_count || (c == worst_count && c > 0 &&
-                              (worst == sim::kInvalidHost || host < worst))) {
+      if (c > worst_count || (c == worst_count && c > 0 && host < worst)) {
         worst = host;
         worst_count = c;
       }
     }
     if (worst_count == 0) break;
-    removed.insert(worst);
     result.removed.push_back(worst);
     for (std::size_t vi : by_host[worst]) {
       if (!violation_active[vi]) continue;
@@ -74,6 +66,8 @@ SanitizeResult iterative_removal(const std::vector<sim::HostId>& candidates,
     count.erase(worst);
   }
 
+  const std::unordered_set<sim::HostId> removed(result.removed.begin(),
+                                                result.removed.end());
   for (sim::HostId h : candidates) {
     if (!removed.contains(h)) result.kept.push_back(h);
   }
@@ -84,18 +78,18 @@ SanitizeResult iterative_removal(const std::vector<sim::HostId>& candidates,
 /// those after the row's own index (the anchor mesh, each pair once).
 enum class Columns { All, AboveDiagonal };
 
-/// Rows per block of the pair sweep, and the scratch budget that caps it
-/// for very wide column sets (two doubles per pair).
-constexpr std::size_t kBlockRows = 64;
-constexpr std::size_t kScratchBytes = std::size_t{1} << 20;
+/// A pair whose RTT floor is below the SOI bound, with what its ping needs.
+struct Candidate {
+  std::size_t col;
+  double base_rtt;
+  double reported_d;
+};
 
 /// The SOI-violating (row, column) pairs of one sanitiser, pinged with
-/// src = row. The pure half — each pair's deterministic base RTT and the
-/// distance between the reported locations — runs per row on the pool
-/// into block scratch; the serial half then walks the block in (i, j)
-/// order on the calling thread, so `gen` sees exactly the draws of one
-/// min_rtt_ms(row, column) call per pair at any worker count (DESIGN.md
-/// §9).
+/// src = row (DESIGN.md §9, §14). The pool floor-tests each row's pairs,
+/// bar honest ones, and synthesises the base RTTs of those that can
+/// violate; the serial walk spends every pair's draws from `gen` in (i, j)
+/// order, so the result equals one min_rtt_ms per pair at any worker count.
 std::vector<Violation> sweep_pairs(const sim::LatencyModel& latency,
                                    const std::vector<sim::HostId>& rows,
                                    const std::vector<sim::HostId>& cols,
@@ -104,62 +98,68 @@ std::vector<Violation> sweep_pairs(const sim::LatencyModel& latency,
                                    util::Pcg32& gen) {
   static obs::Counter& pairs_swept =
       obs::Registry::instance().counter("dataset.sanitize.pairs");
-  const double soi = effective_soi(config);
+  static obs::Counter& pairs_pinged =
+      obs::Registry::instance().counter("dataset.sanitize.pinged");
+  const double soi = config.soi_km_per_ms > 0.0 ? config.soi_km_per_ms
+                                                : geo::kSoiTwoThirdsKmPerMs;
+  const bool lemma = soi >= geo::kSoiTwoThirdsKmPerMs &&
+                     latency.config().min_inflation >= 1.0;
   const sim::World& world = latency.world();
+  // Honest = reported at a bitwise copy of the true location (not `==`).
+  const auto suspect = [&](sim::HostId id) {
+    const sim::Host& h = world.host(id);
+    return !lemma || std::memcmp(&h.reported_location, &h.true_location,
+                                 sizeof(geo::GeoPoint)) != 0;
+  };
   const sim::LatencyModel::HostSoA row_soa = latency.host_soa(rows);
   const sim::LatencyModel::HostSoA col_soa = latency.host_soa(cols);
-  geo::PointsSoA col_reported;
-  col_reported.reserve(cols.size());
-  for (const sim::HostId h : cols) {
-    col_reported.push_back(world.host(h).reported_location);
-  }
-  const std::size_t n_cols = cols.size();
-  const auto first_col = [columns](std::size_t i) {
-    return columns == Columns::All ? std::size_t{0} : i + 1;
+  std::vector<char> col_suspect(cols.size());
+  std::transform(cols.begin(), cols.end(), col_suspect.begin(), suspect);
+  const auto first_col = [&](std::size_t i) {
+    return std::min(columns == Columns::All ? 0 : i + 1, cols.size());
   };
 
-  const std::size_t block_rows = std::clamp<std::size_t>(
-      kScratchBytes / (2 * sizeof(double) * std::max<std::size_t>(n_cols, 1)),
-      1, kBlockRows);
-  std::vector<double> base(block_rows * n_cols);
-  std::vector<double> reported_d(block_rows * n_cols);
-  std::vector<Violation> violations;
-  std::uint64_t pairs = 0;
-  for (std::size_t b0 = 0; b0 < rows.size(); b0 += block_rows) {
-    const std::size_t b1 = std::min(rows.size(), b0 + block_rows);
-    util::parallel_for(
-        b1 - b0,
-        [&](std::size_t r) {
-          const std::size_t i = b0 + r;
-          const std::size_t j0 = std::min(first_col(i), n_cols);
-          sim::LatencyModel::CityPairCache cache;
-          latency.base_rtt_ms_batch(row_soa, i, col_soa, j0, n_cols, cache,
-                                    base.data() + r * n_cols);
-          geo::distance_km_batch(world.host(rows[i]).reported_location,
-                                 col_reported, j0, n_cols,
-                                 reported_d.data() + r * n_cols);
-        },
-        /*grain=*/1);
-    for (std::size_t i = b0; i < b1; ++i) {
-      const std::size_t j0 = std::min(first_col(i), n_cols);
-      const double* row_base = base.data() + (i - b0) * n_cols;
-      const double* row_d = reported_d.data() + (i - b0) * n_cols;
-      pairs += n_cols - j0;
-      for (std::size_t k = 0; j0 + k < n_cols; ++k) {
-        // An unresponsive column answers nothing and draws nothing.
-        const auto rtt =
-            latency
-                .ping_sample_with_base(row_base[k],
-                                       col_soa.responsive[j0 + k] != 0,
-                                       config.ping_packets, gen)
-                .min_rtt_ms;
-        if (rtt && geo::violates_soi(*rtt, row_d[k], soi)) {
-          violations.push_back({rows[i], cols[j0 + k]});
-        }
+  std::vector<std::vector<Candidate>> candidates(rows.size());
+  util::parallel_for(rows.size(), [&](std::size_t i) {
+    const sim::Host& row = world.host(rows[i]);
+    const bool row_suspect = suspect(rows[i]);
+    sim::LatencyModel::CityPairCache cache;
+    for (std::size_t j = first_col(i); j < cols.size(); ++j) {
+      if (!col_soa.responsive[j] || !(row_suspect || col_suspect[j])) continue;
+      const sim::Host& col = world.host(cols[j]);
+      const double d = geo::distance_km(row.true_location, col.true_location);
+      const double reported_d =
+          geo::distance_km(row.reported_location, col.reported_location);
+      if (geo::violates_soi(latency.rtt_floor_ms(row_soa, i, col_soa, j, d),
+                            reported_d, soi)) {
+        candidates[i].push_back(
+            {j, latency.base_rtt_ms_at(row_soa, i, col_soa, j, d, cache),
+             reported_d});
       }
     }
+  });
+
+  std::vector<Violation> violations;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    pairs_swept.add(cols.size() - first_col(i));
+    pairs_pinged.add(candidates[i].size());
+    auto next = candidates[i].cbegin();
+    for (std::size_t j = first_col(i); j < cols.size(); ++j) {
+      if (next == candidates[i].cend() || next->col != j) {
+        // An unresponsive column answers nothing and draws nothing.
+        latency.skip_ping_sample(col_soa.responsive[j] != 0,
+                                 config.ping_packets, gen);
+        continue;
+      }
+      const auto rtt = latency.ping_sample_with_base(
+          next->base_rtt, /*responsive=*/true, config.ping_packets, gen);
+      if (rtt.min_rtt_ms &&
+          geo::violates_soi(*rtt.min_rtt_ms, next->reported_d, soi)) {
+        violations.push_back({rows[i], cols[j]});
+      }
+      ++next;
+    }
   }
-  pairs_swept.add(pairs);
   return violations;
 }
 

@@ -6,16 +6,22 @@
 // no violation remains (9 anchors removed). Probes are then pinged against
 // the surviving anchors and filtered the same way (96 probes removed).
 //
-// Both sanitisers run one blocked pair sweep (DESIGN.md §9). Per block of
-// rows, the pure half — each pair's deterministic base RTT from the batch
-// kernel and the distance between the reported locations — runs row by row
-// on the util::parallel pool; the serial half then draws every pair's
-// jitter and loss from the sanitiser's one generator on the calling thread,
-// in row-major order, skipping unresponsive columns without a draw. The
-// result is therefore identical at any GEOLOC_THREADS, and to the serial
-// min_rtt_ms loops it replaced (tests/oracles/sanitize_reference.h). The
-// `dataset.sanitize.anchors` / `.probes` trace spans time each sanitiser
-// and `dataset.sanitize.pairs` counts the pairs swept.
+// Both sanitisers run one pair sweep (DESIGN.md §9, §14) that pings only
+// the pairs that can violate. On the util::parallel pool, each row tests
+// its pairs' RTT floor (LatencyModel::rtt_floor_ms) against the SOI bound
+// on the reported distance, and synthesises a base RTT only where the
+// floor is below it. A pair of honest hosts (reported location a bitwise
+// copy of the true one) never violates while soi >= 2/3 c and
+// min_inflation >= 1, so it is not even tested. The calling thread then
+// spends every pair's jitter and loss draws from the sanitiser's one
+// generator in row-major order: ping_sample_with_base for a candidate,
+// skip_ping_sample for any other pair, nothing for an unresponsive column.
+// The result is therefore identical at any GEOLOC_THREADS, and to the
+// serial min_rtt_ms loops over every pair
+// (tests/oracles/sanitize_reference.h). The `dataset.sanitize.anchors` /
+// `.probes` trace spans time each sanitiser; `dataset.sanitize.pairs`
+// counts the pairs swept and `dataset.sanitize.pinged` the base RTTs
+// synthesised.
 #pragma once
 
 #include <cstdint>

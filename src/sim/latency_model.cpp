@@ -118,6 +118,8 @@ LatencyModel::PingSample LatencyModel::ping_sample(HostId src, HostId dst,
 
 LatencyModel::PingSample LatencyModel::ping_sample_with_base(
     double base_rtt, bool responsive, int packets, util::Pcg32& gen) const {
+  // skip_ping_sample below spends these draws without the RTT: keep the two
+  // loops in step.
   PingSample sample;
   if (!responsive) return sample;
   for (int i = 0; i < packets; ++i) {
@@ -127,6 +129,15 @@ LatencyModel::PingSample LatencyModel::ping_sample_with_base(
     if (!sample.min_rtt_ms || rtt < *sample.min_rtt_ms) sample.min_rtt_ms = rtt;
   }
   return sample;
+}
+
+void LatencyModel::skip_ping_sample(bool responsive, int packets,
+                                    util::Pcg32& gen) const {
+  // ping_sample_with_base's draws: exponential() is one uniform().
+  if (!responsive) return;
+  for (int i = 0; i < packets; ++i) {
+    if (!gen.chance(config_.loss_rate)) static_cast<void>(gen.uniform());
+  }
 }
 
 LatencyModel::HostSoA LatencyModel::host_soa(

@@ -150,7 +150,7 @@ class LatencyModel {
   // nearest + and × are monotone, the inflation is clamped at
   // min_inflation, and overhead and jitter are non-negative (the model's
   // contract), so floor <= base <= every packet's RTT, bit for bit.
-  // Bounded selection prunes cells by it.
+  // Bounded selection prunes cells by it, the §4.3 sanitiser pairs.
 
   /// The pair's RTT floor at great-circle distance `d`.
   [[nodiscard]] double rtt_floor_ms(const HostSoA& src, std::size_t i,
@@ -173,10 +173,18 @@ class LatencyModel {
   /// consumes `gen` identically to ping_sample(src, dst, ...) and returns
   /// the same value when (base_rtt, responsive) match that pair. The tile
   /// generator calls this with batched bases; the scalar ping_sample is a
-  /// thin wrapper, so the loss/jitter logic exists exactly once.
+  /// thin wrapper, so the loss/jitter logic exists exactly once. Its draws
+  /// are mirrored by skip_ping_sample.
   [[nodiscard]] PingSample ping_sample_with_base(double base_rtt,
                                                  bool responsive, int packets,
                                                  util::Pcg32& gen) const;
+
+  /// Spends exactly the draws of ping_sample_with_base(base, responsive,
+  /// packets, gen) for any base — per packet one loss trial, and one
+  /// jitter uniform when the packet is kept — but computes no RTT. For a
+  /// caller that has proved a pair's sample cannot change its verdict yet
+  /// must leave the later draws in place (the §4.3 sanitiser).
+  void skip_ping_sample(bool responsive, int packets, util::Pcg32& gen) const;
 
   /// The RTT a traceroute from `src` reports for intermediate router `hop`:
   /// base RTT skewed by reverse-path asymmetry plus the router's ICMP

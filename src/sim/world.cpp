@@ -174,7 +174,12 @@ const AsInfo& World::as_info(net::Asn asn) const {
 net::Prefix World::allocate_site_prefix(net::Asn asn) {
   auto block_it = as_current_block_.find(asn.value);
   if (block_it == as_current_block_.end() || as_next_site_[asn.value] >= 256) {
-    // Allocate a fresh /16 to this AS and announce it.
+    // Allocate a fresh /16 to this AS and announce it. The plan ends at
+    // 255.255.0.0/16: past it the counter would wrap to 0.0.0.0/16 and then
+    // reissue 1.0.0.0/16.
+    if (next_block16_ == 0) {
+      throw std::length_error("allocate_site_prefix: /16 plan exhausted");
+    }
     const std::uint32_t base = next_block16_;
     next_block16_ += 0x10000;
     as_current_block_[asn.value] = base;
@@ -196,8 +201,7 @@ net::Prefix World::allocate_site_prefix(net::Asn asn) {
 
 std::optional<std::pair<net::Prefix, net::Asn>> World::bgp_lookup(
     net::IPv4Address addr) const {
-  // Unsigned wrap: blocks past 255.255.0.0/16 continue at 0.0.0.0/16, and
-  // addresses below 1.0.0.0 index past every block not yet allocated.
+  // Unsigned wrap: addresses below 1.0.0.0 index past every block.
   const std::uint32_t block = (addr.value() - kFirstBlock16) >> 16;
   if (block >= bgp_blocks_.size()) return std::nullopt;
   const AnnouncedBlock& b = bgp_blocks_[block];

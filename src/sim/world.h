@@ -142,7 +142,9 @@ class World {
 
   // -- addressing ---------------------------------------------------------
   /// Allocate the next /24 site prefix owned by `asn`; registers the
-  /// covering /16 (and sometimes the /24 itself) in the BGP table.
+  /// covering /16 (and sometimes the /24 itself) in the BGP table. The
+  /// /16s run from 1.0.0.0 to 255.255.0.0; throws std::length_error when
+  /// a new one is needed past the last.
   net::Prefix allocate_site_prefix(net::Asn asn);
   /// BGP-style origin lookup: the longest announced prefix covering `addr`
   /// (the site's /24 when it was announced, else its /16), or nullopt.

@@ -4,13 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "dataset/catalog.h"
+#include "geo/constants.h"
+#include "geo/geodesy.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "oracles/sanitize_reference.h"
+#include "scenario/presets.h"
 #include "test_scenario.h"
+#include "util/durable.h"
 #include "util/parallel.h"
 
 namespace geoloc::dataset {
@@ -88,7 +97,7 @@ TEST(Sanitize, IterativeRemovalIsDeterministic) {
   EXPECT_EQ(r1.kept, r2.kept);
 }
 
-// The blocked pair sweep against the serial loops it replaced
+// The pruned pair sweep against the serial loops over every pair
 // (tests/oracles/sanitize_reference.h): same kept, removed and
 // violating_pairs at one and four workers.
 struct ReferenceCase {
@@ -98,6 +107,8 @@ struct ReferenceCase {
   double soi_km_per_ms;  ///< 0 = 2/3 c
   std::size_t decommission_every;  ///< > 0: every n-th anchor unresponsive
   bool noisy = false;  ///< heavy jitter and loss: draws decide many pairs
+  double min_inflation = 0.0;  ///< > 0: overrides the latency model's floor
+  bool unsanitised_columns = false;  ///< probes against every anchor
 };
 
 // Test names (and ctest's "GetParam() = ..." suffix) show the case name,
@@ -137,6 +148,7 @@ TEST_P(SanitizeReference, MatchesSerialLoopsAtOneAndFourThreads) {
     lc.jitter_mean_ms = 5.0;
     lc.loss_rate = 0.3;
   }
+  if (c.min_inflation > 0.0) lc.min_inflation = c.min_inflation;
   const sim::LatencyModel latency(world, lc);
   SanitizeConfig sc;
   sc.ping_packets = cfg.ping_packets;
@@ -144,9 +156,12 @@ TEST_P(SanitizeReference, MatchesSerialLoopsAtOneAndFourThreads) {
 
   const SanitizeResult want_anchors =
       oracle::sanitize_anchors_reference(latency, anchors, sc);
+  const auto columns = [&](const SanitizeResult& anchor_result) {
+    return c.unsanitised_columns ? anchors : anchor_result.kept;
+  };
   const SanitizeResult want_probes = oracle::sanitize_probes_reference(
-      latency, probes, want_anchors.kept, sc);
-  if (c.soi_km_per_ms > 0.0) {
+      latency, probes, columns(want_anchors), sc);
+  if (c.soi_km_per_ms > 0.0 && c.soi_km_per_ms < geo::kSoiTwoThirdsKmPerMs) {
     EXPECT_GT(want_anchors.removed.size(),
               static_cast<std::size_t>(cfg.catalog.anchors_misgeolocated));
   } else if (c.misgeolocated) {
@@ -159,7 +174,7 @@ TEST_P(SanitizeReference, MatchesSerialLoopsAtOneAndFourThreads) {
     util::set_thread_count(threads);
     const SanitizeResult got_anchors = sanitize_anchors(latency, anchors, sc);
     expect_same(got_anchors, want_anchors);
-    expect_same(sanitize_probes(latency, probes, got_anchors.kept, sc),
+    expect_same(sanitize_probes(latency, probes, columns(got_anchors), sc),
                 want_probes);
   }
   util::set_thread_count(0);
@@ -169,7 +184,10 @@ TEST_P(SanitizeReference, MatchesSerialLoopsAtOneAndFourThreads) {
 // jitter and loss draws (the minimum of three packets sits ~0.04 ms above
 // the base RTT), so a reordered generator can leave kept/removed intact.
 // The noisy cases make the draws decide many verdicts; soi 150 km/ms puts
-// honest pairs near the bound too.
+// honest pairs near the bound too. The sweep proves honest pairs safe only
+// at soi >= 2/3 c and min_inflation >= 1: soi 299.79 (c) keeps that proof
+// on with a lax bound, min_inflation 0.9 turns it off, and probes against
+// the unsanitised anchors meet misgeolocated columns.
 INSTANTIATE_TEST_SUITE_P(
     Cases, SanitizeReference,
     ::testing::Values(ReferenceCase{"seed1", 1, true, 0.0, 0},
@@ -181,10 +199,129 @@ INSTANTIATE_TEST_SUITE_P(
                       ReferenceCase{"seed2_decommissioned", 2, true, 0.0, 7},
                       ReferenceCase{"seed1_noisy", 1, true, 0.0, 0, true},
                       ReferenceCase{"seed3_noisy_soi150", 3, true, 150.0, 7,
-                                    true}),
+                                    true},
+                      ReferenceCase{"seed1_soi_c", 1, true, 299.79, 0},
+                      ReferenceCase{"seed2_min_inflation_0_9", 2, true, 0.0, 0,
+                                    false, 0.9},
+                      ReferenceCase{"seed3_unsanitised_columns", 3, true, 0.0,
+                                    0, false, 0.0, true},
+                      ReferenceCase{"seed1_noisy_unsanitised_columns", 1, true,
+                                    0.0, 7, true, 0.0, true},
+                      ReferenceCase{"seed2_noisy_min_inflation_0_9", 2, true,
+                                    0.0, 7, true, 0.9}),
     [](const ::testing::TestParamInfo<ReferenceCase>& info) {
       return info.param.name;
     });
+
+// The paper-scale §4.3 outcome, pinned: world, catalogue and both
+// sanitisers of paper_config(seed). The removed ids are hashed in removal
+// order as native (little-endian) uint32 host ids.
+struct PaperOutcome {
+  std::uint64_t seed;
+  std::size_t anchors_kept, anchors_removed;
+  std::uint64_t anchors_violating, anchors_removed_xxh64;
+  std::size_t probes_kept, probes_removed;
+  std::uint64_t probes_violating, probes_removed_xxh64;
+};
+
+std::uint64_t removed_digest(const std::vector<sim::HostId>& ids) {
+  return util::durable::xxh64(std::as_bytes(std::span(ids)));
+}
+
+TEST(SanitizePaperScale, PinnedOutcomeAtSeedsOneToThree) {
+  constexpr PaperOutcome kPinned[] = {
+      {1, 723, 9, 3307, 0x3B882D2ECA0FFBA7ULL, 10001, 95, 31873,
+       0x77780C181E0AF80BULL},
+      {2, 723, 9, 3045, 0xA705DF8E3655964FULL, 10002, 94, 32846,
+       0x1ADF312C2F9FB158ULL},
+      {3, 723, 9, 2614, 0x9505CC8FA1C4F756ULL, 10000, 96, 32540,
+       0x0E212B8B222BF405ULL},
+  };
+  for (const PaperOutcome& want : kPinned) {
+    SCOPED_TRACE("seed=" + std::to_string(want.seed));
+    const auto cfg = scenario::paper_config(want.seed);
+    sim::WorldConfig wc = cfg.world;
+    wc.seed = cfg.seed;
+    sim::World world(wc);
+    const Catalog catalog = build_catalog(world, cfg.catalog);
+    const sim::LatencyModel latency(world, cfg.latency);
+    SanitizeConfig sc;
+    sc.ping_packets = cfg.ping_packets;
+    const SanitizeResult anchors =
+        sanitize_anchors(latency, catalog.anchors, sc);
+    const SanitizeResult probes =
+        sanitize_probes(latency, catalog.probes, anchors.kept, sc);
+    EXPECT_EQ(anchors.kept.size(), want.anchors_kept);
+    EXPECT_EQ(anchors.removed.size(), want.anchors_removed);
+    EXPECT_EQ(anchors.violating_pairs, want.anchors_violating);
+    EXPECT_EQ(removed_digest(anchors.removed), want.anchors_removed_xxh64);
+    EXPECT_EQ(probes.kept.size(), want.probes_kept);
+    EXPECT_EQ(probes.removed.size(), want.probes_removed);
+    EXPECT_EQ(probes.violating_pairs, want.probes_violating);
+    EXPECT_EQ(removed_digest(probes.removed), want.probes_removed_xxh64);
+  }
+}
+
+// dataset.sanitize.pinged counts the pairs whose base RTT the sweep
+// synthesised: with the honest-pair proof on, exactly the responsive pairs
+// whose RTT floor lies below the SOI bound on their reported distance,
+// counted here over every pair. Tracing on or off moves no output.
+TEST(Sanitize, PingsExactlyThePairsWhoseFloorIsBelowTheBound) {
+  const auto cfg = scenario::small_config(1);
+  sim::WorldConfig wc = cfg.world;
+  wc.seed = cfg.seed;
+  sim::World world(wc);
+  const Catalog catalog = build_catalog(world, cfg.catalog);
+  const sim::LatencyModel latency(world, cfg.latency);
+  SanitizeConfig sc;
+  sc.ping_packets = cfg.ping_packets;
+
+  obs::Counter& pinged =
+      obs::Registry::instance().counter("dataset.sanitize.pinged");
+  const std::uint64_t before = pinged.value();
+  const SanitizeResult anchors = sanitize_anchors(latency, catalog.anchors, sc);
+  const SanitizeResult probes =
+      sanitize_probes(latency, catalog.probes, anchors.kept, sc);
+  const std::uint64_t got = pinged.value() - before;
+
+  const auto below_floor = [&](const std::vector<sim::HostId>& rows,
+                               const std::vector<sim::HostId>& cols,
+                               bool mesh) {
+    const auto row_soa = latency.host_soa(rows);
+    const auto col_soa = latency.host_soa(cols);
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t j = mesh ? i + 1 : 0; j < cols.size(); ++j) {
+        const sim::Host& a = world.host(rows[i]);
+        const sim::Host& b = world.host(cols[j]);
+        const double floor = latency.rtt_floor_ms(
+            row_soa, i, col_soa, j,
+            geo::distance_km(a.true_location, b.true_location));
+        if (col_soa.responsive[j] != 0 &&
+            geo::violates_soi(floor, geo::distance_km(a.reported_location,
+                                                      b.reported_location))) {
+          ++n;
+        }
+      }
+    }
+    return n;
+  };
+  const std::uint64_t want =
+      below_floor(catalog.anchors, catalog.anchors, /*mesh=*/true) +
+      below_floor(catalog.probes, anchors.kept, /*mesh=*/false);
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(got, want);
+
+  obs::set_trace_enabled(true);
+  const SanitizeResult traced_anchors =
+      sanitize_anchors(latency, catalog.anchors, sc);
+  const SanitizeResult traced_probes =
+      sanitize_probes(latency, catalog.probes, traced_anchors.kept, sc);
+  obs::set_trace_enabled(false);
+  (void)obs::flush_spans();
+  expect_same(traced_anchors, anchors);
+  expect_same(traced_probes, probes);
+}
 
 }  // namespace
 }  // namespace geoloc::dataset

@@ -10,6 +10,7 @@
 #include "geo/constants.h"
 #include "geo/geodesy.h"
 #include "sim/world.h"
+#include "util/rng.h"
 
 namespace geoloc::sim {
 namespace {
@@ -153,6 +154,33 @@ TEST_F(LatencyTest, AccessPenaltyRaisesRtt) {
   if (!same_city) {
     EXPECT_GE(rtt, geo::distance_to_min_rtt_ms(d) +
                        world_.access_penalty_ms(poor));
+  }
+}
+
+// skip_ping_sample leaves the generator exactly where ping_sample_with_base
+// leaves it, at any loss rate, packet count and responsiveness: the §4.3
+// sanitiser swaps one for the other on pairs that cannot violate.
+TEST(LatencySkip, SpendsExactlyThePingsDraws) {
+  const World world;
+  for (const double loss : {0.0, 0.006, 0.3, 1.0}) {
+    LatencyModelConfig lc;
+    lc.loss_rate = loss;
+    const LatencyModel latency(world, lc);
+    for (const int packets : {0, 1, 3, 8}) {
+      for (const bool responsive : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "loss=" << loss << " packets="
+                                          << packets << " responsive="
+                                          << responsive);
+        for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+          util::Pcg32 pinged{seed};
+          util::Pcg32 skipped{seed};
+          static_cast<void>(
+              latency.ping_sample_with_base(12.5, responsive, packets, pinged));
+          latency.skip_ping_sample(responsive, packets, skipped);
+          for (int k = 0; k < 8; ++k) ASSERT_EQ(pinged(), skipped());
+        }
+      }
+    }
   }
 }
 

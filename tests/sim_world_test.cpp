@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "geo/geodesy.h"
@@ -112,6 +113,24 @@ TEST_F(WorldTest, SitePrefixesAreUniqueSlash24sOfTheAs) {
     ASSERT_TRUE(origin.has_value());
     EXPECT_EQ(origin->second.value, a.value);
   }
+}
+
+TEST_F(WorldTest, SlashSixteenPlanEndsWithoutWrapping) {
+  // 1.0.0.0/16 .. 255.255.0.0/16: 255 x 256 blocks, one per fresh AS.
+  constexpr std::uint32_t kBlocks = 255 * 256;
+  net::Asn last_as;
+  net::Prefix last;
+  for (std::uint32_t k = 0; k < kBlocks; ++k) {
+    last_as = world_.create_as(AsCategory::Access, 0);
+    last = world_.allocate_site_prefix(last_as);
+  }
+  EXPECT_EQ(last.network().value(), 0xFFFF0000u);
+  const auto origin = world_.bgp_lookup(last.address_at(1));
+  ASSERT_TRUE(origin.has_value());
+  EXPECT_EQ(origin->second.value, last_as.value);
+  const net::Asn next = world_.create_as(AsCategory::Access, 0);
+  EXPECT_THROW(static_cast<void>(world_.allocate_site_prefix(next)),
+               std::length_error);
 }
 
 TEST_F(WorldTest, BgpMoreSpecificsExist) {
